@@ -1,8 +1,10 @@
 """Factor and loading estimation by projected and regular PCA.
 
-Both estimators solve the T x T eigenproblem (Y'PY or Y'Y): in the
-target regimes T is much smaller than p, and the dual formulation gives
-the same factors as the p x p route.  Loadings follow by least squares,
+Factors come from the top eigenvectors of Y'PY or Y'Y, and ``_spectrum``
+alone decides how they are computed.  Y'PY = Z'Z with Z = Q'Y only m x T,
+so projected mode takes a thin SVD of Z and never forms a T x T matrix;
+plain mode eigendecomposes the T x T Gram matrix Y'Y, which is cheaper
+than an SVD of the p x T panel.  Loadings follow by least squares,
 Lambda_hat = Y F_hat / T, split into the projected part G_hat and the
 orthogonal remainder Gamma_hat.
 """
@@ -73,32 +75,45 @@ class FitResult:
     b_hat: Optional[np.ndarray] = None
 
 
+def _column_signs(V: np.ndarray) -> np.ndarray:
+    """+1 or -1 per column: the sign of its largest-magnitude entry (ties: lowest index)."""
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return np.where(top < 0, -1.0, 1.0)
+
+
 def fix_signs(V: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude entry positive (ties: lowest index)."""
-    V = np.array(V, dtype=float, copy=True)
-    for k in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, k])))
-        if V[i, k] < 0:
-            V[:, k] = -V[:, k]
-    return V
+    V = np.asarray(V, dtype=float)
+    return V * _column_signs(V)
 
 
-def _top_k_eigh(A: np.ndarray, K: int):
-    """Top-K eigenpairs of a symmetric matrix, descending, signs fixed."""
+def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
+    """Eigenvalues of Y'PY (P given) or Y'Y, descending, all T = Y.shape[1].
+
+    Returns ``(w, v)`` with ``v`` the top-K eigenvectors, signs fixed
+    (None for K = 0).  Projected mode pads the eigenvalues beyond the
+    rank of Q'Y with zeros; plain mode computes only values for K = 0.
+    """
+    T = y.shape[1]
     try:
-        w, v = np.linalg.eigh(A)
+        if P is not None:
+            _, s, vt = np.linalg.svd(P.q.T @ y, full_matrices=False)
+            w, v = s**2, vt.T
+        elif K:
+            w, v = np.linalg.eigh(y.T @ y)
+        else:
+            w, v = np.linalg.eigvalsh(y.T @ y), None
     except np.linalg.LinAlgError as exc:
-        raise EigenFailureError(f"symmetric eigendecomposition failed: {exc}") from exc
+        raise EigenFailureError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order]
-    if K < w.size and w[K] > 0 and w[K - 1] / w[K] < 1.0 + NEAR_TIE_RTOL:
+    w = np.concatenate([w[order], np.zeros(T - w.size)])
+    if 0 < K < T and w[K] > 0 and w[K - 1] / w[K] < 1.0 + NEAR_TIE_RTOL:
         warnings.warn(
             f"eigenvalues {K} and {K + 1} nearly tied (ratio "
             f"{w[K - 1] / w[K]:.2e})",
             NearTieWarning,
         )
-    return w[:K], fix_signs(v[:, :K])
+    return w, fix_signs(v[:, order[:K]]) if K else None
 
 
 def fit_projected_pca(data: PanelData, P: Projector, K: int) -> FitResult:
@@ -116,18 +131,17 @@ def fit_projected_pca(data: PanelData, P: Projector, K: int) -> FitResult:
         raise KTooLargeError(
             f"need 1 <= K <= rank={P.rank} and K < T={T}, got K={K}"
         )
-    z = P.q.T @ y
-    eigvals, v = _top_k_eigh(z.T @ z, K)
+    eigvals, v = _spectrum(y, P, K)
     f_hat = np.sqrt(T) * v
     yf = y @ f_hat / T
-    g_hat = P.q @ (z @ f_hat) / T
+    g_hat = P.project(yf)
     gamma_hat = yf - g_hat
     b_hat = P.solve_sieve_coefficients(yf)
     # recompose so Lambda_hat == G_hat + Gamma_hat holds bitwise
     return FitResult(
         f_hat=f_hat,
         lambda_hat=g_hat + gamma_hat,
-        eigvals=eigvals / T,
+        eigvals=eigvals[:K] / T,
         method="projected_pca",
         k=K,
         g_hat=g_hat,
@@ -144,12 +158,12 @@ def fit_regular_pca(y: np.ndarray, K: int) -> FitResult:
     T = y.shape[1]
     if not 1 <= K < T:
         raise KTooLargeError(f"need 1 <= K < T={T}, got K={K}")
-    eigvals, v = _top_k_eigh(y.T @ y, K)
+    eigvals, v = _spectrum(y, None, K)
     f_hat = np.sqrt(T) * v
     return FitResult(
         f_hat=f_hat,
         lambda_hat=y @ f_hat / T,
-        eigvals=eigvals / T,
+        eigvals=eigvals[:K] / T,
         method="regular_pca",
         k=K,
     )
@@ -187,7 +201,7 @@ def identification_transform(F: np.ndarray, G: np.ndarray):
     G = np.asarray(G, dtype=float)
     if F.ndim != 2 or G.ndim != 2 or F.shape[1] != G.shape[1]:
         raise DimensionMismatchError("F and G must share the column count K")
-    T, K = F.shape
+    T = F.shape[0]
     s_f = F.T @ F / T
     w, e = np.linalg.eigh(s_f)
     if w[0] <= 1e-12 * max(w[-1], 1.0):
@@ -209,11 +223,7 @@ def identification_transform(F: np.ndarray, G: np.ndarray):
     H = s_f_isqrt @ r
     F0 = F @ H
     # flip signs via the factor convention; apply the same flips to G0
-    signs = np.ones(K)
-    for k in range(K):
-        i = int(np.argmax(np.abs(F0[:, k])))
-        if F0[i, k] < 0:
-            signs[k] = -1.0
+    signs = _column_signs(F0)
     H = H * signs
     F0 = F0 * signs
     G0 = g1 @ r * signs
@@ -247,7 +257,7 @@ def verify_equivalence(
     """Max discrepancy between G_hat = P Y F_hat / T and Xi D^(1/2).
 
     Xi and D come from the p x p eigenproblem (1/T) P Y Y' P computed
-    directly (an independent route from the T x T dual used by the
+    directly (an independent route from the SVD of Q'Y used by the
     fit), so agreement is a genuine cross-check of the two loading
     formulas rather than an algebraic tautology.
     """
@@ -255,7 +265,8 @@ def verify_equivalence(
         fit = fit_projected_pca(data, P, K)
     py = P.project(data.y)
     T = data.T
-    d_vals, xi = _top_k_eigh(py @ py.T / T, K)
-    cand = xi @ np.diag(np.sqrt(np.maximum(d_vals, 0.0)))
+    # plain mode on (PY)' eigendecomposes the p x p Gram P Y Y' P
+    d_vals, xi = _spectrum(py.T, None, K)
+    cand = xi @ np.diag(np.sqrt(np.maximum(d_vals[:K] / T, 0.0)))
     signs, max_err, _ = align_columns(cand, fit.g_hat)
     return max_err

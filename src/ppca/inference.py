@@ -5,8 +5,10 @@ loadings (H0: G(X) = 0) and is built on the regular-PCA factor estimate,
 since the projection is not meaningful under that null.  Conversely
 ``test_gamma_zero`` asks whether the covariates explain everything
 (H0: Gamma = 0) and uses the projected-PCA factors.  ``select_k`` picks
-the number of factors as the argmax of adjacent eigenvalue ratios of the
-(optionally projected) T x T data Gram matrix.
+the number of factors as the argmax of adjacent eigenvalue ratios of
+Y'PY or Y'Y.  All spectra come from ``estimator._spectrum``: the
+projected one from the singular values of the m x T matrix Q'Y, the
+plain one from the T x T Gram matrix Y'Y.
 """
 
 from __future__ import annotations
@@ -17,17 +19,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, ndtr
 
 from .estimator import (
     PanelData,
+    _spectrum,
     estimate_sigma_u,
     fit_projected_pca,
     fit_regular_pca,
 )
 from .exceptions import (
     BoundaryWarning,
-    EigenFailureError,
     InvalidSpecError,
     RangeEmptyError,
     SingularWeightError,
@@ -112,8 +114,8 @@ def test_g_zero(data: PanelData, P: Projector, K: int) -> TestResult:
         statistic=s_g,
         standardized=float(standardized),
         df=df,
-        p_value_normal=float(stats.norm.sf(standardized)),
-        p_value_chisq=float(stats.chi2.sf(p * s_g, df)),
+        p_value_normal=float(ndtr(-standardized)),
+        p_value_chisq=float(chdtrc(df, p * s_g)),
         k_used=K,
         which="g_zero",
     )
@@ -144,8 +146,8 @@ def test_gamma_zero(
         statistic=s_gamma,
         standardized=float(standardized),
         df=df,
-        p_value_normal=float(stats.norm.sf(standardized)),
-        p_value_chisq=float(stats.chi2.sf(T * s_gamma, df)),
+        p_value_normal=float(ndtr(-standardized)),
+        p_value_chisq=float(chdtrc(df, T * s_gamma)),
         k_used=K,
         which="gamma_zero",
     )
@@ -163,17 +165,7 @@ def select_k(y: np.ndarray, P: Optional[Projector], m: int) -> SelectionResult:
     if m < 4:
         raise RangeEmptyError(f"need m >= 4 for a nonempty search range, got m={m}")
     T = y.shape[1]
-    if P is not None:
-        z = P.q.T @ y
-        gram = z.T @ z
-        mode = "projected"
-    else:
-        gram = y.T @ y
-        mode = "plain"
-    try:
-        lam = np.linalg.eigvalsh(gram)[::-1]
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailureError(f"eigenvalue computation failed: {exc}") from exc
+    lam, _ = _spectrum(y, P)
     # largest k with k < m/2, limited by the T available eigenvalues
     k_max = min((m - 1) // 2 if m % 2 else m // 2 - 1, T - 1)
     if k_max < 1:
@@ -193,6 +185,6 @@ def select_k(y: np.ndarray, P: Optional[Projector], m: int) -> SelectionResult:
         k_hat=k_hat,
         eigenvalues=lam,
         ratios=ratios,
-        method=mode,
+        method="plain" if P is None else "projected",
         at_boundary=at_boundary,
     )

@@ -204,7 +204,7 @@ def run_monte_carlo(scenario: Scenario, n_jobs: int = 1) -> MonteCarloResult:
     ]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(_run_task, tasks, chunksize=8))
+            outcomes = list(pool.map(_run_task, tasks))
     else:
         outcomes = [_run_task(t) for t in tasks]
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisMatrix, eval_curves
 from .estimator import PanelData, identification_transform
 from .exceptions import InvalidSpecError, NonStationaryError
 
@@ -232,17 +231,6 @@ class PolynomialCurves:
         powers = np.stack([np.ones_like(x), x, x**2, x**3], axis=-1)
         # sum over covariates and polynomial degrees
         return np.einsum("nlj,klj->nk", powers, self.coeffs)
-
-
-@dataclass(frozen=True)
-class SieveCurves:
-    """Loading curves given by fitted sieve coefficients on a stored basis."""
-
-    b_hat: np.ndarray
-    basis: BasisMatrix
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return eval_curves(self.b_hat, self.basis, x).total
 
 
 def default_loading_curves() -> PolynomialCurves:

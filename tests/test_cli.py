@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import ppca
 
 from ppca.cli import main
 from ppca.dataio import read_matrix, write_matrix
@@ -165,3 +171,14 @@ class TestBenchmark:
         scen["n_reps"] = 0
         path.write_text(json.dumps(scen))
         assert main(["benchmark", "--scenario", str(path), "--out", str(out)]) == 2
+
+
+def test_cli_import_skips_scipy_stats():
+    # a fresh interpreter that imports the same ppca as this test run
+    src = str(Path(ppca.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ppca.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

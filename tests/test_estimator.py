@@ -11,7 +11,7 @@ from ppca.estimator import (
     identification_transform,
     verify_equivalence,
 )
-from ppca.exceptions import DimensionMismatchError, KTooLargeError
+from ppca.exceptions import DimensionMismatchError, KTooLargeError, NearTieWarning
 from ppca.projection import make_projector
 from ppca.simulate import gen_design2
 
@@ -99,6 +99,23 @@ class TestProjectedPca:
                 < 1e-8 * np.linalg.norm(data.y)
             )
             assert np.all(np.diff(fit.eigvals) < 0)
+
+    def test_gram_eigh_oracle(self, spectrum_case):
+        data, P, K, w, v = spectrum_case
+        fit = fit_projected_pca(data, P, K)
+        T = data.T
+        np.testing.assert_allclose(fit.f_hat, np.sqrt(T) * v[:, :K], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fit.eigvals, w[:K] / T, rtol=1e-10)
+
+    def test_near_tie_warns(self, rng):
+        p, T = 40, 12
+        P = make_projector(rng.standard_normal((p, 4)))
+        vt = np.linalg.qr(rng.standard_normal((T, 4)))[0].T
+        # Z = Q'Y has singular values 3, 2, 2, 1: eigenvalues 2 and 3 tie
+        y = P.q @ np.diag([3.0, 2.0, 2.0, 1.0]) @ vt
+        data = PanelData(y=y, x=rng.standard_normal((p, 1)))
+        with pytest.warns(NearTieWarning):
+            fit_projected_pca(data, P, 2)
 
     def test_basis_rotation_invariance(self, rng):
         data = _random_panel(rng, 50, 15)

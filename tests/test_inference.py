@@ -115,6 +115,13 @@ class TestSelectK:
         res = select_k(y, P, basis.m)
         assert res.k_hat == 3
 
+    @pytest.mark.filterwarnings("ignore::ppca.exceptions.BoundaryWarning")
+    def test_projected_gram_eigh_oracle(self, spectrum_case):
+        data, P, _, w, _ = spectrum_case
+        res = select_k(data.y, P, 8)  # k_max = 3: four eigenvalues
+        oracle = np.maximum(w[:4], 1e-12 * w[0])
+        np.testing.assert_allclose(res.eigenvalues, oracle, rtol=1e-10)
+
     def test_scale_free(self, rng):
         panel = gen_design2(80, 25, seed=5)
         basis = build_basis(panel.data.x, BasisSpec(J=9))

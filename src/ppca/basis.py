@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .exceptions import (
     InvalidSpecError,
@@ -192,6 +191,8 @@ def _bspline_knots(x: np.ndarray, J: int, rule: str) -> np.ndarray:
 
 
 def _bspline_block(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    # deferred: scipy.interpolate dominates the import time of every CLI command
+    from scipy.interpolate import BSpline
     xc = np.clip(x, knots[0], knots[-1])
     dm = BSpline.design_matrix(xc, knots, 3, extrapolate=False)
     return dm.toarray()

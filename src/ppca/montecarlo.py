@@ -3,6 +3,11 @@
 Per-replication RNG streams are derived deterministically from the
 master seed and the cell coordinates, so the output table is identical
 no matter how many worker processes run the replications.
+
+Methods and metrics (after sign alignment; ``_max``/``_fro``: largest entry,
+Frobenius norm over √p): ``projected_pca`` factor/lambda/g/gamma,
+``regular_pca`` factor/lambda, ``sieve_ls_known_factors`` g; ``select_k_projected``
+and ``select_k_plain``: ``k_hit`` (1.0 if K̂ = K) and ``k_abs_err`` (|K̂ − K|).
 """
 
 from __future__ import annotations
@@ -16,10 +21,12 @@ import numpy as np
 from .basis import BasisSpec, build_basis, default_J
 from .estimator import align_columns, fit_projected_pca, fit_regular_pca
 from .exceptions import InputError, InvalidSpecError, PpcaError
+from .inference import select_k
 from .projection import make_projector
 from .simulate import gen_calibrated, gen_design2
 
-METHODS = ("projected_pca", "regular_pca", "sieve_ls_known_factors")
+METHODS = ("projected_pca", "regular_pca", "sieve_ls_known_factors",
+           "select_k_projected", "select_k_plain")
 DESIGNS = ("design2", "calibrated")
 
 
@@ -179,6 +186,11 @@ def run_replication(scenario: Scenario, p: int, T: int, rep: int) -> dict:
             diff = est - panel.g_true
             metrics[(method, "g_max")] = float(np.abs(diff).max())
             metrics[(method, "g_fro")] = float(np.linalg.norm(diff) / sqrt_p)
+        elif method in ("select_k_projected", "select_k_plain"):
+            P = projector if method == "select_k_projected" else None
+            k_hat = select_k(panel.data.y, P, basis.m).k_hat
+            metrics[(method, "k_hit")] = float(k_hat == panel.k_true)
+            metrics[(method, "k_abs_err")] = float(abs(k_hat - panel.k_true))
     return record
 
 
@@ -187,7 +199,8 @@ def _run_task(args):
     try:
         return ("ok", run_replication(scenario, p, T, rep))
     except PpcaError as exc:
-        return ("fail", {"p": p, "T": T, "rep": rep, "error": str(exc)})
+        return ("fail", {"p": p, "T": T, "rep": rep,
+                         "type": type(exc).__name__, "error": str(exc)})
 
 
 def run_monte_carlo(scenario: Scenario, n_jobs: int = 1) -> MonteCarloResult:

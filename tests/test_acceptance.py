@@ -135,36 +135,24 @@ def test_criterion_3_exact_recovery(report):
 
 def test_criterion_4_factor_count_recovery(report):
     t0 = time.perf_counter()
-    hits = 0
-    for rep in range(50):
-        rng = np.random.default_rng([7, 300, 50, rep])
-        panel = ppca.gen_design2(300, 50, rng=rng)
-        J = ppca.default_J(300, 50)
-        basis = ppca.build_basis(panel.data.x, ppca.BasisSpec(J=J))
-        P = ppca.make_projector(basis)
-        hits += ppca.select_k(panel.data.y, P, basis.m).k_hat == 3
-
-    dev_proj, dev_plain = [], []
-    for rep in range(50):
-        rng = np.random.default_rng([8, 200, 10, rep])
-        panel = ppca.gen_design2(200, 10, rng=rng)
-        J = ppca.default_J(200, 10)
-        basis = ppca.build_basis(panel.data.x, ppca.BasisSpec(J=J))
-        P = ppca.make_projector(basis)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            kp = ppca.select_k(panel.data.y, P, basis.m).k_hat
-            ka = ppca.select_k(panel.data.y, None, basis.m).k_hat
-        dev_proj.append(abs(kp - 3))
-        dev_plain.append(abs(ka - 3))
+    wide = run_monte_carlo(Scenario(
+        p_grid=(300,), t_grid=(50,), methods=("select_k_projected",),
+        n_reps=50, seed=7), n_jobs=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        short = run_monte_carlo(Scenario(
+            p_grid=(200,), t_grid=(10,),
+            methods=("select_k_projected", "select_k_plain"),
+            n_reps=50, seed=8), n_jobs=1)
     elapsed = time.perf_counter() - t0
-    hit_rate = hits / 50
-    ok = (hit_rate >= 0.95
-          and np.mean(dev_proj) < np.mean(dev_plain)
-          and elapsed < 300.0)
+    assert not wide.failures and not short.failures
+    hit_rate = cell_mean(wide, 300, 50, "select_k_projected", "k_hit")
+    dev_proj = cell_mean(short, 200, 10, "select_k_projected", "k_abs_err")
+    dev_plain = cell_mean(short, 200, 10, "select_k_plain", "k_abs_err")
+    ok = hit_rate >= 0.95 and dev_proj < dev_plain and elapsed < 300.0
     report(4, f"factor-count recovery (hit rate {hit_rate:.2f}; "
-               f"mean |K_hat-3| projected {np.mean(dev_proj):.2f} "
-               f"vs plain {np.mean(dev_plain):.2f})", ok)
+               f"mean |K_hat-3| projected {dev_proj:.2f} "
+               f"vs plain {dev_plain:.2f})", ok)
     assert ok
 
 

@@ -11,6 +11,7 @@ import ppca
 
 from ppca.cli import main
 from ppca.dataio import read_matrix, write_matrix
+from ppca.exceptions import InputError
 
 
 def _write_panel(tmp_path, y, x):
@@ -19,6 +20,14 @@ def _write_panel(tmp_path, y, x):
     write_matrix(y_path, y)
     write_matrix(x_path, x, header=[f"x{j + 1}" for j in range(x.shape[1])])
     return y_path, x_path
+
+
+def test_read_matrix_typed_errors(tmp_path):
+    # empty file, header with no rows, ragged row, non-numeric cell
+    for i, text in enumerate(["", "a,b\n", "1.0,2.0\n3.0\n", "a,b\n1.0,2.0\n3.0,x\n"]):
+        (tmp_path / f"{i}.csv").write_text(text)
+        with pytest.raises(InputError):
+            read_matrix(tmp_path / f"{i}.csv")
 
 
 class TestFit:
@@ -53,6 +62,13 @@ class TestFit:
         ])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_ragged_data_exit_2(self, tmp_path, capsys):
+        y_path, x_path = _write_panel(tmp_path, np.ones((2, 2)), np.ones((2, 1)))
+        y_path.write_text("1.0,2.0\n3.0\n")
+        assert main(["fit", "--data", str(y_path), "--covariates", str(x_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "row 2 has 1 fields" in capsys.readouterr().err
 
     def test_bundle_files_and_roundtrip(self, tmp_path):
         sim_out = tmp_path / "sim"
@@ -159,14 +175,17 @@ class TestBenchmark:
     def test_small_run_and_bad_reps(self, tmp_path):
         scen = {
             "design": "design2", "p_grid": [40], "T_grid": [10], "K": 3,
-            "methods": ["projected_pca"], "n_reps": 2, "seed": 1,
+            "methods": ["projected_pca", "select_k_projected", "select_k_plain"],
+            "n_reps": 2, "seed": 1,
         }
         path = tmp_path / "scen.json"
         path.write_text(json.dumps(scen))
         out = tmp_path / "bench"
         rc = main(["benchmark", "--scenario", str(path), "--out", str(out)])
         assert rc == 0
-        assert (out / "aggregate.csv").exists()
+        text = (out / "aggregate.csv").read_text()
+        cells = {tuple(r.split(",")[3:5]) for r in text.splitlines()}
+        assert {(m, k) for m in scen["methods"][1:] for k in ("k_hit", "k_abs_err")} <= cells
         assert (out / "raw_errors.csv").exists()
         scen["n_reps"] = 0
         path.write_text(json.dumps(scen))
@@ -178,7 +197,8 @@ def test_cli_import_skips_scipy_stats():
     src = str(Path(ppca.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, ppca.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, ppca.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.interpolate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,7 @@ SMALL = Scenario(
     n_reps=3,
     seed=123,
 )
+SELECT_K = replace(SMALL, methods=("select_k_projected", "select_k_plain"))
 
 
 class TestScenario:
@@ -81,6 +83,10 @@ class TestRunReplication:
         assert methods == set(SMALL.methods)
         assert ("projected_pca", "gamma_fro") in rec["metrics"]
         assert all(v >= 0 for v in rec["metrics"].values())
+        got = run_replication(SELECT_K, 40, 10, rep=0)["metrics"]
+        assert set(got) == {(m, n) for m in SELECT_K.methods for n in ("k_hit", "k_abs_err")}
+        for m in SELECT_K.methods:  # k_hit is 1.0 exactly when K_hat = K, else 0.0
+            assert got[m, "k_hit"] == (got[m, "k_abs_err"] == 0)
 
 
 class TestRunMonteCarlo:
@@ -102,6 +108,10 @@ class TestRunMonteCarlo:
         cells = {(r["p"], r["method"], r["metric"]) for r in res.aggregate}
         assert (40, "projected_pca", "factor_fro") in cells
         assert (60, "regular_pca", "lambda_max") in cells
+
+    def test_failure_records_exception_type(self):
+        res = run_monte_carlo(replace(SMALL, p_grid=(3,), n_reps=1))
+        assert [(f["p"], f["type"]) for f in res.failures] == [(3, "InvalidSpecError")]
 
     def test_cell_mean_lookup(self):
         res = run_monte_carlo(SMALL, n_jobs=1)

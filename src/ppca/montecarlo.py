@@ -4,10 +4,10 @@ Per-replication RNG streams are derived deterministically from the
 master seed and the cell coordinates, so the output table is identical
 no matter how many worker processes run the replications.
 
-Methods and metrics (after sign alignment; ``_max``/``_fro``: largest entry,
-Frobenius norm over √p): ``projected_pca`` factor/lambda/g/gamma,
-``regular_pca`` factor/lambda, ``sieve_ls_known_factors`` g; ``select_k_projected``
-and ``select_k_plain``: ``k_hit`` (1.0 if K̂ = K) and ``k_abs_err`` (|K̂ − K|).
+``METHODS`` record errors after sign alignment (``_max``/``_fro``: largest entry,
+Frobenius norm over √p): ``projected_pca`` factor/lambda/g/gamma, ``regular_pca``
+factor/lambda, ``sieve_ls_known_factors`` g. ``SELECT_K_METHODS`` (``select_k_projected``,
+``select_k_plain``) record ``k_hit`` (1.0 if K̂ = K) and ``k_abs_err`` (|K̂ − K|).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .inference import select_k
 from .projection import make_projector
 from .simulate import gen_calibrated, gen_design2
 
-METHODS = ("projected_pca", "regular_pca", "sieve_ls_known_factors",
-           "select_k_projected", "select_k_plain")
+METHODS = ("projected_pca", "regular_pca", "sieve_ls_known_factors")
+SELECT_K_METHODS = ("select_k_projected", "select_k_plain")
 DESIGNS = ("design2", "calibrated")
 
 
@@ -48,7 +48,7 @@ class Scenario:
     def __post_init__(self):
         if self.design not in DESIGNS:
             raise InvalidSpecError(f"unknown design {self.design!r}")
-        bad = [m for m in self.methods if m not in METHODS]
+        bad = [m for m in self.methods if m not in METHODS + SELECT_K_METHODS]
         if bad:
             raise InvalidSpecError(f"unknown methods {bad}")
         if not self.methods:
@@ -186,7 +186,7 @@ def run_replication(scenario: Scenario, p: int, T: int, rep: int) -> dict:
             diff = est - panel.g_true
             metrics[(method, "g_max")] = float(np.abs(diff).max())
             metrics[(method, "g_fro")] = float(np.linalg.norm(diff) / sqrt_p)
-        elif method in ("select_k_projected", "select_k_plain"):
+        elif method in SELECT_K_METHODS:
             P = projector if method == "select_k_projected" else None
             k_hat = select_k(panel.data.y, P, basis.m).k_hat
             metrics[(method, "k_hit")] = float(k_hat == panel.k_true)

@@ -145,11 +145,11 @@ def test_criterion_4_factor_count_recovery(report):
             methods=("select_k_projected", "select_k_plain"),
             n_reps=50, seed=8), n_jobs=1)
     elapsed = time.perf_counter() - t0
-    assert not wide.failures and not short.failures
     hit_rate = cell_mean(wide, 300, 50, "select_k_projected", "k_hit")
     dev_proj = cell_mean(short, 200, 10, "select_k_projected", "k_abs_err")
     dev_plain = cell_mean(short, 200, 10, "select_k_plain", "k_abs_err")
-    ok = hit_rate >= 0.95 and dev_proj < dev_plain and elapsed < 300.0
+    ok = (not wide.failures and not short.failures
+          and hit_rate >= 0.95 and dev_proj < dev_plain and elapsed < 300.0)
     report(4, f"factor-count recovery (hit rate {hit_rate:.2f}; "
                f"mean |K_hat-3| projected {dev_proj:.2f} "
                f"vs plain {dev_plain:.2f})", ok)

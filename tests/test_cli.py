@@ -55,20 +55,19 @@ class TestFit:
         np.testing.assert_allclose(sign * factors[:, 0], target, atol=1e-10)
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
-        rc = main([
-            "fit", "--data", str(tmp_path / "nope.csv"),
-            "--covariates", str(tmp_path / "nope2.csv"),
-            "--out", str(tmp_path / "o"),
-        ])
-        assert rc == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_ragged_data_exit_2(self, tmp_path, capsys):
+        # a missing file, then a ragged Y.csv
         y_path, x_path = _write_panel(tmp_path, np.ones((2, 2)), np.ones((2, 1)))
         y_path.write_text("1.0,2.0\n3.0\n")
-        assert main(["fit", "--data", str(y_path), "--covariates", str(x_path),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "row 2 has 1 fields" in capsys.readouterr().err
+        for data, covariates, msg in (
+            (tmp_path / "nope.csv", tmp_path / "nope2.csv", "error"),
+            (y_path, x_path, "row 2 has 1 fields"),
+        ):
+            rc = main([
+                "fit", "--data", str(data), "--covariates", str(covariates),
+                "--out", str(tmp_path / "o"),
+            ])
+            assert rc == 2
+            assert msg in capsys.readouterr().err
 
     def test_bundle_files_and_roundtrip(self, tmp_path):
         sim_out = tmp_path / "sim"

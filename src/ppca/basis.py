@@ -190,12 +190,27 @@ def _bspline_knots(x: np.ndarray, J: int, rule: str) -> np.ndarray:
     return np.concatenate(([lo] * 4, interior, [hi] * 4))
 
 
-def _bspline_block(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
-    # deferred: scipy.interpolate dominates the import time of every CLI command
-    from scipy.interpolate import BSpline
-    xc = np.clip(x, knots[0], knots[-1])
-    dm = BSpline.design_matrix(xc, knots, 3, extrapolate=False)
-    return dm.toarray()
+def _bspline_block(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # de Boor's recurrence over all points at once, in the operation order of scipy's
+    # BSpline.design_matrix and added into zeros as its toarray does (-0.0 reads 0.0),
+    # so bit for bit the same; the knots of _bspline_knots leave no zero denominator
+    k = 3
+    n = t.size - k - 1
+    xc = np.clip(x, t[0], t[-1])
+    ell = np.clip(np.searchsorted(t, xc, side="right") - 1, k, n - 1)
+    tl = {i: t[ell + i] for i in range(1 - k, k + 1)}
+    h = [np.ones_like(xc)]  # after round j: the j + 1 degree-j splines nonzero at x
+    for j in range(1, k + 1):
+        nxt = [np.zeros_like(xc)]
+        for i in range(1, j + 1):
+            w = h[i - 1] / (tl[i] - tl[i - j])
+            nxt[i - 1] += w * (tl[i] - xc)
+            nxt.append(w * (xc - tl[i - j]))
+        h = nxt
+    out = np.zeros((xc.size, n))
+    for i, col in enumerate(h):
+        out[np.arange(xc.size), ell - k + i] += col
+    return out
 
 
 def _polynomial_block(x: np.ndarray, J: int) -> np.ndarray:
@@ -332,6 +347,8 @@ def design_row(basis: BasisMatrix, x: np.ndarray, strict: bool = False) -> np.nd
         raise InvalidSpecError(
             f"expected points with d={basis.d} coordinates, got {x.shape[1]}"
         )
+    if not np.all(np.isfinite(x)):
+        raise InvalidSpecError("evaluation points have non-finite entries")
     blocks = []
     offset = 1 if spec.include_intercept else 0
     for l in range(basis.d):

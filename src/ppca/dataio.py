@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +30,16 @@ def write_matrix(path, M: np.ndarray, header=None) -> None:
         if len(header) != M.shape[1]:
             raise InputError("header length does not match column count")
         lines.append(",".join(header))
-    for row in M:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in M.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_matrix(path):
     """Read a CSV matrix, tolerating an optional single header row.
 
-    Returns ``(matrix, header_or_None)``.
+    Returns ``(matrix, header_or_None)``.  Cells are parsed by ``np.loadtxt``,
+    which, unlike ``float()``, rejects digit separators (``1_0``) and
+    non-ASCII digits.  Errors count rows from 1 after the header.
     """
     path = Path(path)
     if not path.exists():
@@ -55,19 +57,17 @@ def read_matrix(path):
         lines = lines[1:]
         if not lines:
             raise InputError(f"{path}: header but no data rows")
-    rows = []
-    width = None
+    width = lines[0].count(",") + 1
     for i, line in enumerate(lines):
-        parts = line.split(",")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise InputError(f"{path}: row {i + 1} has {len(parts)} fields, expected {width}")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise InputError(f"{path}: row {i + 1}: {exc}") from exc
-    return np.asarray(rows), header
+        n = line.count(",") + 1 if line else 0  # np.loadtxt would skip an empty row
+        if n != width:
+            raise InputError(f"{path}: row {i + 1} has {n} fields, expected {width}")
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2), header
+    except ValueError as exc:
+        # numpy counts rows from 0
+        msg = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + 1}", str(exc))
+        raise InputError(f"{path}: {msg}") from exc
 
 
 def sha256_file(path) -> str:

@@ -150,7 +150,7 @@ def nearest_pd(M: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     if w[0] >= floor:
         return sym
     w = np.maximum(w, floor)
-    out = v @ np.diag(w) @ v.T
+    out = (v * w) @ v.T
     return (out + out.T) / 2.0
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ppca.basis import (
     BasisSpec,
+    _bspline_block,
     build_basis,
     default_J,
     design_row,
@@ -141,6 +142,11 @@ class TestEvalCurves:
         # default clamps instead of raising
         eval_curves(np.zeros((basis.m, 1)), basis, far)
 
+    def test_non_finite_points_rejected(self, rng):
+        basis = build_basis(rng.standard_normal((40, 1)), BasisSpec(J=5))
+        with pytest.raises(InvalidSpecError):
+            eval_curves(np.zeros((basis.m, 1)), basis, np.array([[np.nan]]))
+
     def test_design2_noiseless_curve_recovery(self):
         # fit with U=0, Gamma=0: recovered curves approach the truth as J grows
         from ppca.estimator import fit_projected_pca, identification_transform, PanelData
@@ -176,6 +182,46 @@ class TestEvalCurves:
         x = rng.standard_normal((45, 2))
         basis = build_basis(x, BasisSpec(J=5))
         np.testing.assert_allclose(design_row(basis, x), basis.values, atol=1e-12)
+
+
+class TestBsplineOracle:
+    """The numpy B-spline block against scipy's design matrix, bit for bit."""
+
+    @pytest.mark.parametrize("J", [4, 5, 8, 20])
+    @pytest.mark.parametrize("knot_rule", ["quantile", "uniform"])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_scipy_design_matrix(self, rng, J, knot_rule, tied):
+        from scipy.interpolate import BSpline
+
+        x = rng.standard_normal((300, 2)) * [1.0, 4.0]
+        if tied:
+            x = np.round(x, 1)
+        basis = build_basis(x, BasisSpec(J=J, knot_rule=knot_rule))
+        far = np.array([[-1e3, 1e3], [1e3, -1e3]])
+        pts = np.vstack([x, far, rng.uniform(-4.0, 4.0, (50, 2))])
+        oracle = [np.ones((len(pts), 1))]
+        for l, kv in enumerate(basis.knots):
+            mu, sd = basis.standardization[l]
+            # the data, both ends of the support, every knot, and points beyond
+            xl = np.concatenate([(x[:, l] - mu) / sd, kv, [kv[0] - 1.0, kv[-1] + 1.0]])
+            ref = BSpline.design_matrix(np.clip(xl, kv[0], kv[-1]), kv, 3).toarray()
+            assert _bspline_block(xl, kv).tobytes() == ref.tobytes()
+            zl = np.clip((pts[:, l] - mu) / sd, kv[0], kv[-1])
+            oracle.append(BSpline.design_matrix(zl, kv, 3).toarray()
+                          - basis.centers[1 + l * J:1 + (l + 1) * J])
+        oracle = np.hstack(oracle)
+        b_hat = rng.standard_normal((basis.m, 2))
+        assert design_row(basis, pts).tobytes() == oracle.tobytes()
+        np.testing.assert_array_equal(eval_curves(b_hat, basis, pts).total, oracle @ b_hat)
+
+    def test_signed_zero_on_a_knot(self):
+        # scipy's dense matrix holds +0.0 where the recurrence yields -0.0
+        from scipy.interpolate import BSpline
+
+        kv = np.array([-1.0] * 4 + [0.0] + [1.0] * 4)
+        z = np.array([-0.0, 0.0, -1.0, 1.0, 0.5])
+        ref = BSpline.design_matrix(z, kv, 3).toarray()
+        assert _bspline_block(z, kv).tobytes() == ref.tobytes()
 
 
 class TestSpecSerialization:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,31 @@ class TestCsvRoundTrip:
         write_matrix(path, a)
         b, _ = read_matrix(path)
         np.testing.assert_array_equal(a, b)
+
+    def test_write_bytes_and_read_bits(self, tmp_path):
+        a = np.array([[-0.0, 5e-324, 1e308], [0.1, 3.0, -7.0], [0.0, 1e-7, 2.0**60]])
+        path = tmp_path / "m.csv"
+        write_matrix(path, a, header=["a", "b", "c"])
+        old = "a,b,c\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in a)
+        assert path.read_text() == old
+        b, header = read_matrix(path)
+        assert header == ["a", "b", "c"]
+        assert b.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("text, where", [
+        ("1.0,2.0\n3.0\n", "row 2 has 1 fields, expected 2"),
+        ("a,b\n1.0,2.0\n3.0,x\n", "at row 2, column 2"),
+        ("1.0\n2.0\n1_0\n", "at row 3, column 1"),  # float() accepts 1_0
+        ("1.0,2.0\n3.0,4.0 # note\n", "at row 2, column 2"),  # no comment syntax
+        ("1.0\n\n2.0\n", "row 2 has 0 fields, expected 1"),
+        ("a,b\n", "header but no data rows"),
+    ])
+    def test_read_errors_name_path_and_row(self, tmp_path, text, where):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            read_matrix(path)
+        assert str(path) in str(info.value) and where in str(info.value)
 
 
 class TestSimulate:
@@ -201,3 +227,30 @@ def test_cli_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_simulate_and_fit_load_no_scipy(tmp_path):
+    # a fresh interpreter; only the p-values of `test` may load scipy.special
+    code = textwrap.dedent("""\
+        import json, sys
+        from pathlib import Path
+        from ppca.cli import main
+        out = Path(sys.argv[1])
+        (out / "sim.json").write_text(json.dumps({"design": "design2", "p": 60, "T": 20}))
+        panel = ["--data", str(out / "s" / "Y.csv"), "--covariates", str(out / "s" / "X.csv")]
+        loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert main(["simulate", "--scenario", str(out / "sim.json"), "--out", str(out / "s")]) == 0
+        assert main(["fit", *panel, "--k", "auto", "--out", str(out / "f")]) == 0
+        print(json.dumps(loaded()))
+        assert main(["test", *panel, "--k", "3", "--which", "both", "--out", str(out / "t.json")]) == 0
+        print(json.dumps(loaded()))
+    """)
+    src = str(Path(ppca.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env=env)
+    after_fit, after_test = map(json.loads, out.stdout.splitlines())
+    assert after_fit == []
+    assert "scipy.special" in after_test
+    assert not {"scipy.interpolate", "scipy.sparse"} & set(after_test)

@@ -63,6 +63,16 @@ class TestNearestPd:
         oracle = v @ np.diag(np.maximum(w, 1e-8)) @ v.T
         np.testing.assert_allclose(nearest_pd(m, 1e-8), oracle, atol=1e-10)
 
+    @pytest.mark.parametrize("p", [50, 200])
+    def test_bit_identical_to_diagonal_product(self, rng, p):
+        # scaling the columns of v equals the product with diag(w) exactly
+        a = rng.standard_normal((p, p))
+        m = (a + a.T) / 2
+        w, v = np.linalg.eigh(m)
+        out = v @ np.diag(np.maximum(w, 1e-8)) @ v.T
+        assert w[0] < 0
+        assert np.array_equal(nearest_pd(m, 1e-8), (out + out.T) / 2.0)
+
 
 class TestSparseErrorCov:
     def test_full_truncation_gives_diagonal(self, rng):

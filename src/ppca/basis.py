@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +116,6 @@ class BasisMatrix:
     supports: list
     standardization: list
     centers: np.ndarray
-    column_names: list = field(default_factory=list)
 
     @property
     def p(self) -> int:
@@ -264,7 +263,6 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
             supports=[],
             standardization=[],
             centers=np.zeros(1),
-            column_names=["const"],
         )
 
     m = spec.n_columns(d)
@@ -279,7 +277,6 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
     knots = []
     supports = []
     blocks = []
-    names = []
     for l in range(d):
         x = Xs[:, l]
         lo, hi = float(x.min()), float(x.max())
@@ -291,7 +288,6 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
         else:
             knots.append(None)
             blocks.append(_raw_block(x, spec, None, (lo, hi)))
-        names.extend(f"x{l}_b{j}" for j in range(spec.J))
 
     raw = np.hstack(blocks)
     centers = raw.mean(axis=0)
@@ -307,10 +303,8 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
     if spec.include_intercept:
         values = np.hstack([np.ones((p, 1)), centered])
         centers = np.concatenate(([0.0], centers))
-        names = ["const"] + names
     else:
         values = centered
-        names = list(names)
 
     return BasisMatrix(
         values=values,
@@ -319,7 +313,6 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
         supports=supports,
         standardization=std_params,
         centers=centers,
-        column_names=names,
     )
 
 

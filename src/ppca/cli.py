@@ -44,60 +44,60 @@ def _env_seed(default):
         raise InputError(f"PPCA_SEED must be an integer, got {raw!r}") from exc
 
 
-def _load_basis_spec(path) -> BasisSpec:
-    if path is None:
-        return BasisSpec()
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"basis spec file not found: {p}")
-    return BasisSpec.from_json(p.read_text())
-
-
-def _load_panel(data_path, cov_path) -> PanelData:
-    y, _ = read_matrix(data_path)
-    x, _ = read_matrix(cov_path)
+def _load_model(args):
+    """Prelude of ``fit`` and ``test``: read inputs, build basis and projector, resolve K."""
+    y, _ = read_matrix(args.data)
+    x, _ = read_matrix(args.covariates)
     if y.shape[0] != x.shape[0]:
         raise InputError(
-            f"{data_path} has {y.shape[0]} rows but {cov_path} has {x.shape[0]}"
+            f"{args.data} has {y.shape[0]} rows but {args.covariates} has {x.shape[0]}"
         )
-    return PanelData(y=y, x=x)
-
-
-def _resolve_k(arg: str, basis, projector, y) -> int:
-    if arg != "auto":
-        try:
-            return int(arg)
-        except ValueError as exc:
-            raise InputError(f"--k must be an integer or 'auto', got {arg!r}") from exc
-    return select_k(y, projector, basis.m).k_hat
-
-
-def cmd_fit(args) -> int:
-    panel = _load_panel(args.data, args.covariates)
-    spec = _load_basis_spec(args.basis)
+    panel = PanelData(y=y, x=x)
+    spec = BasisSpec()
+    if args.basis is not None:
+        spec_path = Path(args.basis)
+        if not spec_path.exists():
+            raise InputError(f"basis spec file not found: {spec_path}")
+        spec = BasisSpec.from_json(spec_path.read_text())
     basis = build_basis(panel.x, spec)
     projector = make_projector(basis)
-    k = _resolve_k(args.k, basis, projector, panel.y)
-    fit = fit_projected_pca(panel, projector, k)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_fit_bundle(out, fit, spec.to_json(), basis.m)
-    if spec.family != "constant":
-        _write_curves_csv(out / "curves.csv", fit.b_hat, basis)
+    if args.k == "auto":
+        k = select_k(panel.y, projector, basis.m).k_hat
+    else:
+        try:
+            k = int(args.k)
+        except ValueError as exc:
+            raise InputError(f"--k must be an integer or 'auto', got {args.k!r}") from exc
+    return panel, spec, basis, projector, k
+
+
+def _write_model_manifest(path, args, spec, k, **config) -> None:
     write_manifest(
-        out / "manifest.json",
-        command="fit",
+        path,
+        command=args.command,
         config={
             "data": str(args.data),
             "covariates": str(args.covariates),
             "k": args.k,
             "K_hat": k,
+            **config,
             "basis": json.loads(spec.to_json()),
         },
         seed=None,
         input_paths=[args.data, args.covariates]
         + ([args.basis] if args.basis else []),
     )
+
+
+def cmd_fit(args) -> int:
+    panel, spec, basis, projector, k = _load_model(args)
+    fit = fit_projected_pca(panel, projector, k)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_fit_bundle(out, fit, spec.to_json(), basis.m)
+    if spec.family != "constant":
+        _write_curves_csv(out / "curves.csv", fit.b_hat, basis)
+    _write_model_manifest(out / "manifest.json", args, spec, k)
     return 0
 
 
@@ -122,13 +122,7 @@ def _write_curves_csv(path, b_hat, basis) -> None:
 
 
 def cmd_test(args) -> int:
-    panel = _load_panel(args.data, args.covariates)
-    spec = _load_basis_spec(args.basis)
-    basis = build_basis(panel.x, spec)
-    projector = make_projector(basis)
-    k = _resolve_k(args.k, basis, projector, panel.y)
-    if args.which not in ("g", "gamma", "both"):
-        raise InputError(f"--which must be g, gamma, or both, got {args.which!r}")
+    panel, spec, _, projector, k = _load_model(args)
     results = {}
     if args.which in ("g", "both"):
         results["g"] = test_g_zero(panel, projector, k).to_dict()
@@ -137,21 +131,7 @@ def cmd_test(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(results, indent=2) + "\n")
-    write_manifest(
-        out.with_suffix(".manifest.json"),
-        command="test",
-        config={
-            "data": str(args.data),
-            "covariates": str(args.covariates),
-            "k": args.k,
-            "K_hat": k,
-            "which": args.which,
-            "basis": json.loads(spec.to_json()),
-        },
-        seed=None,
-        input_paths=[args.data, args.covariates]
-        + ([args.basis] if args.basis else []),
-    )
+    _write_model_manifest(out.with_suffix(".manifest.json"), args, spec, k, which=args.which)
     return 0
 
 

@@ -29,6 +29,7 @@ from .exceptions import (
 from .projection import Projector
 
 NEAR_TIE_RTOL = 1e-8
+SIGMA_FLOOR_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -169,13 +170,11 @@ def fit_regular_pca(y: np.ndarray, K: int) -> FitResult:
     )
 
 
-def estimate_sigma_u(
-    y: np.ndarray, f_hat: Optional[np.ndarray], floor_rel: float = 1e-12
-) -> np.ndarray:
+def estimate_sigma_u(y: np.ndarray, f_hat: Optional[np.ndarray]) -> np.ndarray:
     """Diagonal idiosyncratic variances, Sigma_u = diag(Y (I - FF'/T) Y') / T.
 
     With no factors the variances reduce to row second moments.  Entries
-    are floored at ``floor_rel`` times the largest variance so the
+    are floored at ``SIGMA_FLOOR_REL`` times the largest variance so the
     inverse stays finite on exact-fit rows.
     """
     y = np.asarray(y, dtype=float)
@@ -186,7 +185,7 @@ def estimate_sigma_u(
         resid = y - (y @ f_hat) @ f_hat.T / T
     variances = np.sum(resid**2, axis=1) / T
     top = variances.max()
-    floor = floor_rel * top if top > 0 else floor_rel
+    floor = SIGMA_FLOOR_REL * top if top > 0 else SIGMA_FLOOR_REL
     return np.maximum(variances, floor)
 
 

@@ -13,7 +13,6 @@ factor/lambda, ``sieve_ls_known_factors`` g. ``SELECT_K_METHODS`` (``select_k_pr
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,6 +215,7 @@ def run_monte_carlo(scenario: Scenario, n_jobs: int = 1) -> MonteCarloResult:
         for rep in range(scenario.n_reps)
     ]
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             outcomes = list(pool.map(_run_task, tasks))
     else:

@@ -23,7 +23,6 @@ class Projector:
 
     q: np.ndarray
     rank: int
-    tol: float
     _s: np.ndarray
     _vt: np.ndarray
 
@@ -60,10 +59,10 @@ class Projector:
         return self._vt[:r].T @ (ut_c / self._s[:r, None])
 
 
-def make_projector(phi, tol: float = DEFAULT_RANK_TOL) -> Projector:
+def make_projector(phi) -> Projector:
     """Build a projector from a design matrix (array or BasisMatrix).
 
-    Columns whose singular value falls below ``tol`` relative to the
+    Columns whose singular value falls below ``DEFAULT_RANK_TOL`` relative to the
     largest are dropped, so duplicated or collinear basis columns do not
     change the projection.
     """
@@ -77,7 +76,7 @@ def make_projector(phi, tol: float = DEFAULT_RANK_TOL) -> Projector:
     u, s, vt = np.linalg.svd(values, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateBasisError("design matrix is numerically zero")
-    r = int(np.sum(s > tol * s[0]))
+    r = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
     if r == 0:
         raise DegenerateBasisError("design matrix has numerical rank zero")
-    return Projector(q=u[:, :r], rank=r, tol=tol, _s=s, _vt=vt)
+    return Projector(q=u[:, :r], rank=r, _s=s, _vt=vt)

@@ -177,6 +177,11 @@ class TestTest:
         # covariates fully explain the loadings in this design
         assert obj["g"]["p_chisq"] < 0.01
         assert (tmp_path / "tests.manifest.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--data", str(sim_out / "Y.csv"),
+                  "--covariates", str(sim_out / "X.csv"), "--which", "bogus",
+                  "--out", str(res_path)])
+        assert exc.value.code == 2
 
 
 class TestAutoK:
@@ -230,7 +235,8 @@ def test_cli_import_skips_scipy_stats():
 
 
 def test_simulate_and_fit_load_no_scipy(tmp_path):
-    # a fresh interpreter; only the p-values of `test` may load scipy.special
+    # a fresh interpreter that imports the same ppca as this test run: neither the
+    # import nor a command loads scipy or a process pool
     code = textwrap.dedent("""\
         import json, sys
         from pathlib import Path
@@ -238,8 +244,11 @@ def test_simulate_and_fit_load_no_scipy(tmp_path):
         out = Path(sys.argv[1])
         (out / "sim.json").write_text(json.dumps({"design": "design2", "p": 60, "T": 20}))
         panel = ["--data", str(out / "s" / "Y.csv"), "--covariates", str(out / "s" / "X.csv")]
-        loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                                or m == "concurrent.futures.process")
+        print(json.dumps(loaded()))
         assert main(["simulate", "--scenario", str(out / "sim.json"), "--out", str(out / "s")]) == 0
+        print(json.dumps(loaded()))
         assert main(["fit", *panel, "--k", "auto", "--out", str(out / "f")]) == 0
         print(json.dumps(loaded()))
         assert main(["test", *panel, "--k", "3", "--which", "both", "--out", str(out / "t.json")]) == 0
@@ -250,7 +259,4 @@ def test_simulate_and_fit_load_no_scipy(tmp_path):
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                          text=True, check=True, env=env)
-    after_fit, after_test = map(json.loads, out.stdout.splitlines())
-    assert after_fit == []
-    assert "scipy.special" in after_test
-    assert not {"scipy.interpolate", "scipy.sparse"} & set(after_test)
+    assert [json.loads(line) for line in out.stdout.splitlines()] == [[]] * 4

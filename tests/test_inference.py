@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from ppca import inference
 from ppca.inference import select_k
 from ppca.projection import make_projector
 from ppca.simulate import gen_design2
+from scipy import special
 
 
 @pytest.fixture
@@ -18,6 +20,29 @@ def design2_setup():
     panel = gen_design2(150, 40, seed=11)
     basis = build_basis(panel.data.x, BasisSpec(J=8))
     return panel, basis, make_projector(basis)
+
+
+class TestTails:
+    """The numpy-free p-value tails against their scipy oracles."""
+
+    @pytest.mark.parametrize("df", [*range(1, 21), 24, 900, 3000, 15_000, 60_000])
+    def test_chi2_sf_matches_chdtrc(self, df):
+        # 0, x << df, the bulk df +- 8 sd out to +40 sd, and x >> df, where Q underflows
+        sd = math.sqrt(2.0 * df)
+        xs = np.concatenate([[0.0], np.geomspace(1e-6, 0.5, 20) * df,
+                             df + sd * np.linspace(-8.0, 40.0, 97),
+                             np.geomspace(2.0, 50.0, 20) * df])
+        for x in xs[xs >= 0]:
+            want, got = special.chdtrc(df, x), inference._chi2_sf(df, x)
+            if want < 1e-300:
+                assert abs(got - want) < 1e-300, (df, x)
+            else:
+                assert abs(got - want) <= (1e-12 + 1e-14 * df) * want, (df, x, got, want)
+
+    def test_normal_sf_matches_ndtr(self):
+        for z in np.linspace(-10.0, 37.0, 941):
+            want = special.ndtr(-z)
+            assert abs(inference._normal_sf(z) - want) <= 1e-12 * want, z
 
 
 class TestGZero:

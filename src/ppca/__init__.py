@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 from .basis import (
     BasisMatrix,
     BasisSpec,
-    CurveValues,
     build_basis,
     default_J,
     eval_curves,
-    standardize_covariates,
 )
 from .estimator import (
     FitResult,
@@ -27,12 +25,10 @@ from .projection import Projector, make_projector
 from .simulate import (
     CalibratedParams,
     SimulatedPanel,
-    VarProcess,
     default_loading_curves,
     gen_calibrated,
     gen_design2,
     make_sparse_error_cov,
-    nearest_pd,
     simulate_var,
 )
 
@@ -40,7 +36,6 @@ __all__ = [
     "BasisMatrix",
     "BasisSpec",
     "CalibratedParams",
-    "CurveValues",
     "FitResult",
     "MonteCarloResult",
     "PanelData",
@@ -49,7 +44,6 @@ __all__ = [
     "SelectionResult",
     "SimulatedPanel",
     "TestResult",
-    "VarProcess",
     "align_columns",
     "build_basis",
     "default_J",
@@ -63,11 +57,9 @@ __all__ = [
     "identification_transform",
     "make_projector",
     "make_sparse_error_cov",
-    "nearest_pd",
     "run_monte_carlo",
     "select_k",
     "simulate_var",
-    "standardize_covariates",
     "test_g_zero",
     "test_gamma_zero",
     "verify_equivalence",

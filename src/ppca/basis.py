@@ -11,7 +11,6 @@ curves be evaluated at new points.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -60,38 +59,23 @@ class BasisSpec:
             return 1
         return self.J * d + (1 if self.include_intercept else 0)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family,
-                "J": self.J,
-                "knot_rule": self.knot_rule,
-                "intercept": self.include_intercept,
-                "standardize": self.standardize,
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "family": self.family,
+            "J": self.J,
+            "knot_rule": self.knot_rule,
+            "intercept": self.include_intercept,
+            "standardize": self.standardize,
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "BasisSpec":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpecError(f"basis spec is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise InvalidSpecError("basis spec JSON must be an object")
-        known = {"family", "J", "knot_rule", "intercept", "standardize"}
-        unknown = set(obj) - known
+    def from_dict(cls, obj: dict) -> "BasisSpec":
+        unknown = set(obj) - {"family", "J", "knot_rule", "intercept", "standardize"}
         if unknown:
             raise InvalidSpecError(f"unknown basis spec keys: {sorted(unknown)}")
-        kwargs = {}
-        if "family" in obj:
-            kwargs["family"] = obj["family"]
-        if "J" in obj:
-            if not isinstance(obj["J"], int):
-                raise InvalidSpecError("J must be an integer")
-            kwargs["J"] = obj["J"]
-        if "knot_rule" in obj:
-            kwargs["knot_rule"] = obj["knot_rule"]
+        if "J" in obj and not isinstance(obj["J"], int):
+            raise InvalidSpecError("J must be an integer")
+        kwargs = {key: obj[key] for key in ("family", "J", "knot_rule") if key in obj}
         if "intercept" in obj:
             kwargs["include_intercept"] = bool(obj["intercept"])
         if "standardize" in obj:
@@ -218,7 +202,7 @@ def _polynomial_block(x: np.ndarray, J: int) -> np.ndarray:
 
 def _fourier_block(x: np.ndarray, J: int, support) -> np.ndarray:
     lo, hi = support
-    t = (np.clip(x, lo, hi) - lo) / (hi - lo)
+    t = (x - lo) / (hi - lo)
     cols = []
     for j in range(1, J + 1):
         freq = (j + 1) // 2
@@ -229,15 +213,18 @@ def _fourier_block(x: np.ndarray, J: int, support) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _raw_block(x: np.ndarray, spec: BasisSpec, knots, support) -> np.ndarray:
-    """Evaluate one covariate's uncentered basis block at points x."""
-    if spec.family == "bspline_cubic":
-        return _bspline_block(x, knots)
-    if spec.family == "polynomial":
-        return _polynomial_block(np.clip(x, support[0], support[1]), spec.J)
-    if spec.family == "fourier":
-        return _fourier_block(x, spec.J, support)
-    raise InvalidSpecError(f"no block evaluation for family {spec.family!r}")
+def _raw_design(spec: BasisSpec, knots, supports, xs: np.ndarray) -> np.ndarray:
+    """Uncentered blocks of all covariates side by side, at xs clipped to the supports."""
+    blocks = []
+    for l, (lo, hi) in enumerate(supports):
+        x = np.clip(xs[:, l], lo, hi)
+        if spec.family == "bspline_cubic":
+            blocks.append(_bspline_block(x, knots[l]))
+        elif spec.family == "polynomial":
+            blocks.append(_polynomial_block(x, spec.J))
+        else:
+            blocks.append(_fourier_block(x, spec.J, (lo, hi)))
+    return np.hstack(blocks)
 
 
 def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
@@ -274,22 +261,12 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
     else:
         Xs, std_params = X, [(0.0, 1.0)] * d
 
-    knots = []
-    supports = []
-    blocks = []
-    for l in range(d):
-        x = Xs[:, l]
-        lo, hi = float(x.min()), float(x.max())
-        supports.append((lo, hi))
-        if spec.family == "bspline_cubic":
-            kv = _bspline_knots(x, spec.J, spec.knot_rule)
-            knots.append(kv)
-            blocks.append(_bspline_block(x, kv))
-        else:
-            knots.append(None)
-            blocks.append(_raw_block(x, spec, None, (lo, hi)))
-
-    raw = np.hstack(blocks)
+    supports = [(float(x.min()), float(x.max())) for x in Xs.T]
+    knots = [
+        _bspline_knots(x, spec.J, spec.knot_rule) if spec.family == "bspline_cubic" else None
+        for x in Xs.T
+    ]
+    raw = _raw_design(spec, knots, supports, Xs)
     centers = raw.mean(axis=0)
     centered = raw - centers
     col_scale = np.abs(raw).max(axis=0)
@@ -342,21 +319,17 @@ def design_row(basis: BasisMatrix, x: np.ndarray, strict: bool = False) -> np.nd
         )
     if not np.all(np.isfinite(x)):
         raise InvalidSpecError("evaluation points have non-finite entries")
-    blocks = []
-    offset = 1 if spec.include_intercept else 0
-    for l in range(basis.d):
-        mu, sd = basis.standardization[l]
-        xl = (x[:, l] - mu) / sd
-        lo, hi = basis.supports[l]
-        if strict and (np.any(xl < lo) or np.any(xl > hi)):
+    mu, sd = np.array(basis.standardization).T
+    xs = (x - mu) / sd
+    if strict:
+        lo, hi = np.array(basis.supports).T
+        outside = np.flatnonzero(np.any((xs < lo) | (xs > hi), axis=0))
+        if outside.size:
             raise OutOfRangeError(
-                f"evaluation point outside training range of covariate {l}"
+                f"evaluation point outside training range of covariate {outside[0]}"
             )
-        xl = np.clip(xl, lo, hi)
-        block = _raw_block(xl, spec, basis.knots[l], basis.supports[l])
-        sl = slice(offset + l * spec.J, offset + (l + 1) * spec.J)
-        blocks.append(block - basis.centers[sl])
-    rows = np.hstack(blocks)
+    rows = _raw_design(spec, basis.knots, basis.supports, xs)
+    rows = rows - basis.centers[1 if spec.include_intercept else 0 :]
     if spec.include_intercept:
         rows = np.hstack([np.ones((rows.shape[0], 1)), rows])
     return rows

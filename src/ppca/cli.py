@@ -8,7 +8,6 @@ seed found in a scenario config.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -17,15 +16,17 @@ import numpy as np
 
 from .basis import BasisSpec, build_basis, eval_curves
 from .dataio import (
+    read_json_object,
     read_matrix,
     write_aggregate_csv,
     write_fit_bundle,
+    write_json,
     write_manifest,
     write_matrix,
     write_raw_errors_csv,
 )
 from .estimator import PanelData, fit_projected_pca
-from .exceptions import InputError, InvalidSpecError, NumericalError, PpcaError
+from .exceptions import InputError, NumericalError, PpcaError
 from .inference import select_k, test_g_zero, test_gamma_zero
 from .montecarlo import Scenario, run_monte_carlo
 from .projection import make_projector
@@ -55,10 +56,7 @@ def _load_model(args):
     panel = PanelData(y=y, x=x)
     spec = BasisSpec()
     if args.basis is not None:
-        spec_path = Path(args.basis)
-        if not spec_path.exists():
-            raise InputError(f"basis spec file not found: {spec_path}")
-        spec = BasisSpec.from_json(spec_path.read_text())
+        spec = BasisSpec.from_dict(read_json_object(args.basis))
     basis = build_basis(panel.x, spec)
     projector = make_projector(basis)
     if args.k == "auto":
@@ -81,7 +79,7 @@ def _write_model_manifest(path, args, spec, k, **config) -> None:
             "k": args.k,
             "K_hat": k,
             **config,
-            "basis": json.loads(spec.to_json()),
+            "basis": spec.to_dict(),
         },
         seed=None,
         input_paths=[args.data, args.covariates]
@@ -94,7 +92,7 @@ def cmd_fit(args) -> int:
     fit = fit_projected_pca(panel, projector, k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_fit_bundle(out, fit, spec.to_json(), basis.m)
+    write_fit_bundle(out, fit, spec.to_dict(), basis.m)
     if spec.family != "constant":
         _write_curves_csv(out / "curves.csv", fit.b_hat, basis)
     _write_model_manifest(out / "manifest.json", args, spec, k)
@@ -130,35 +128,24 @@ def cmd_test(args) -> int:
         results["gamma"] = test_gamma_zero(panel, projector, k).to_dict()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(results, indent=2) + "\n")
+    write_json(out, results)
     _write_model_manifest(out.with_suffix(".manifest.json"), args, spec, k, which=args.which)
     return 0
 
 
-def _load_json_config(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"scenario file not found: {p}")
-    try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{p}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InputError(f"{p}: scenario must be a JSON object")
-    return obj
-
-
 def cmd_simulate(args) -> int:
-    cfg = _load_json_config(args.scenario)
+    cfg = read_json_object(args.scenario)
     design = cfg.get("design", "design2")
     unknown = set(cfg) - {"design", "p", "T", "seed"}
     if unknown:
         raise InputError(f"unknown simulate config keys: {sorted(unknown)}")
     try:
-        p, T = int(cfg["p"]), int(cfg["T"])
+        p, T, seed = int(cfg["p"]), int(cfg["T"]), int(cfg.get("seed", 0))
     except KeyError as exc:
         raise InputError(f"simulate config missing key: {exc}") from exc
-    seed = _env_seed(int(cfg.get("seed", 0)))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{args.scenario}: p, T and seed must be integers: {exc}") from exc
+    seed = _env_seed(seed)
     if design == "design2":
         panel = gen_design2(p, T, seed=seed)
     elif design == "calibrated":
@@ -187,7 +174,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _load_json_config(args.scenario)
+    cfg = read_json_object(args.scenario)
     scenario = Scenario.from_dict(cfg)
     seed = _env_seed(scenario.seed)
     if seed != scenario.seed:
@@ -198,9 +185,7 @@ def cmd_benchmark(args) -> int:
     write_aggregate_csv(out / "aggregate.csv", result.aggregate)
     write_raw_errors_csv(out / "raw_errors.csv", result.raw)
     if result.failures:
-        (out / "failures.json").write_text(
-            json.dumps(result.failures, indent=2) + "\n"
-        )
+        write_json(out / "failures.json", result.failures)
     write_manifest(
         out / "manifest.json",
         command="benchmark",
@@ -253,16 +238,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, InvalidSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except PpcaError as exc:
+    except (PpcaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

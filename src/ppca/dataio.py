@@ -1,4 +1,4 @@
-"""File formats: full-precision CSV matrices, run manifests, result bundles.
+"""File formats: full-precision CSV matrices, JSON files, run manifests, result bundles.
 
 Numbers are written with Python's shortest round-trip representation so
 an export/import cycle reproduces every matrix bit for bit, which is
@@ -70,6 +70,24 @@ def read_matrix(path):
         raise InputError(f"{path}: {msg}") from exc
 
 
+def read_json_object(path) -> dict:
+    """Read a JSON config or spec file that must hold one object; errors name the file."""
+    path = Path(path)
+    if not path.exists():
+        raise InputError(f"file not found: {path}")
+    try:
+        obj = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: must hold a JSON object")
+    return obj
+
+
+def write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
@@ -88,11 +106,11 @@ def write_manifest(path, command: str, config: dict, seed, input_paths=()) -> di
             str(p): sha256_file(p) for p in input_paths if Path(p).exists()
         },
     }
-    Path(path).write_text(json.dumps(manifest, indent=2) + "\n")
+    write_json(path, manifest)
     return manifest
 
 
-def write_fit_bundle(out_dir, fit, basis_spec_json: str, m: int) -> None:
+def write_fit_bundle(out_dir, fit, basis_spec: dict, m: int) -> None:
     """FitResult as a directory of CSVs plus a JSON summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -110,9 +128,9 @@ def write_fit_bundle(out_dir, fit, basis_spec_json: str, m: int) -> None:
         "m": m,
         "eigenvalues": [float(v) for v in fit.eigvals],
         "method": fit.method,
-        "spec": json.loads(basis_spec_json),
+        "spec": basis_spec,
     }
-    (out / "fit.json").write_text(json.dumps(summary, indent=2) + "\n")
+    write_json(out / "fit.json", summary)
 
 
 def write_aggregate_csv(path, rows) -> None:

@@ -214,7 +214,7 @@ def identification_transform(F: np.ndarray, G: np.ndarray):
     r = r[:, order]
     if d[-1] <= 1e-12 * max(d[0], 1.0):
         raise RankDeficientError("G'G is numerically singular")
-    if np.any(d[:-1] / d[1:] < 1.0 + 1e-8):
+    if np.any(d[:-1] / d[1:] < 1.0 + NEAR_TIE_RTOL):
         warnings.warn(
             "whitened G'G has nearly tied eigenvalues; identification is fragile",
             NonDistinctEigenvaluesWarning,

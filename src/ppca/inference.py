@@ -17,7 +17,6 @@ tests hold them to their scipy oracles ``special.ndtr(-z)`` and ``special.chdtrc
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -84,7 +83,6 @@ class TestResult:
     p_value_normal: float
     p_value_chisq: float
     k_used: int
-    which: str
 
     def to_dict(self) -> dict:
         return {
@@ -95,9 +93,6 @@ class TestResult:
             "p_chisq": self.p_value_chisq,
             "K": self.k_used,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -116,9 +111,6 @@ class SelectionResult:
             "method": self.method,
             "at_boundary": self.at_boundary,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def test_g_zero(data: PanelData, P: Projector, K: int) -> TestResult:
@@ -154,7 +146,6 @@ def test_g_zero(data: PanelData, P: Projector, K: int) -> TestResult:
         p_value_normal=_normal_sf(standardized),
         p_value_chisq=_chi2_sf(df, p * s_g),
         k_used=K,
-        which="g_zero",
     )
 
 
@@ -189,7 +180,6 @@ def test_gamma_zero(
         p_value_normal=_normal_sf(standardized),
         p_value_chisq=_chi2_sf(df, T * s_gamma),
         k_used=K,
-        which="gamma_zero",
     )
 
 
@@ -207,7 +197,7 @@ def select_k(y: np.ndarray, P: Optional[Projector], m: int) -> SelectionResult:
     T = y.shape[1]
     lam, _ = _spectrum(y, P)
     # largest k with k < m/2, limited by the T available eigenvalues
-    k_max = min((m - 1) // 2 if m % 2 else m // 2 - 1, T - 1)
+    k_max = min((m - 1) // 2, T - 1)
     if k_max < 1:
         raise RangeEmptyError(f"search range 0 < k < m/2 is empty (m={m}, T={T})")
     lam = lam[: k_max + 1]

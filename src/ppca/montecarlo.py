@@ -12,12 +12,12 @@ factor/lambda, ``sieve_ls_known_factors`` g. ``SELECT_K_METHODS`` (``select_k_pr
 
 from __future__ import annotations
 
-import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, build_basis, default_J
+from .basis import FAMILIES, BasisSpec, build_basis, default_J
 from .estimator import align_columns, fit_projected_pca, fit_regular_pca
 from .exceptions import InputError, InvalidSpecError, PpcaError
 from .inference import select_k
@@ -52,6 +52,11 @@ class Scenario:
             raise InvalidSpecError(f"unknown methods {bad}")
         if not self.methods:
             raise InvalidSpecError("at least one method is required")
+        if self.basis_family not in FAMILIES:
+            raise InvalidSpecError(f"unknown basis family {self.basis_family!r}")
+        for key, val in (("K", self.k), ("n_reps", self.n_reps), ("seed", self.seed)):
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+                raise InvalidSpecError(f"{key} must be an integer, got {val!r}")
         if self.n_reps < 1:
             raise InvalidSpecError("n_reps must be >= 1")
         if not self.p_grid or not self.t_grid:
@@ -73,13 +78,8 @@ class Scenario:
             "basis_family": self.basis_family,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
-        if not isinstance(obj, dict):
-            raise InvalidSpecError("scenario must be a JSON object")
         kwargs = {}
         mapping = {
             "design": "design",
@@ -100,22 +100,15 @@ class Scenario:
                 val = obj[src]
                 kwargs[dst] = tuple(val) if isinstance(val, list) else val
         rule = obj.get("J_rule", {})
-        if "C" in rule:
-            kwargs["j_c"] = float(rule["C"])
-        if "kappa" in rule:
-            kwargs["j_kappa"] = float(rule["kappa"])
+        if not isinstance(rule, dict):
+            raise InvalidSpecError(f"J_rule must be an object, got {rule!r}")
         try:
+            for src, dst in (("C", "j_c"), ("kappa", "j_kappa")):
+                if src in rule:
+                    kwargs[dst] = float(rule[src])
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise InvalidSpecError(f"bad scenario: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpecError(f"scenario is not valid JSON: {exc}") from exc
-        return cls.from_dict(obj)
 
 
 @dataclass
@@ -141,6 +134,12 @@ def _simulate(scenario: Scenario, p: int, T: int, rng):
     return gen_calibrated(p, T, rng=rng)
 
 
+def _record_errors(metrics: dict, method: str, name: str, diff: np.ndarray) -> None:
+    """Largest entry and Frobenius norm over √rows of an aligned error matrix."""
+    metrics[(method, f"{name}_max")] = float(np.abs(diff).max())
+    metrics[(method, f"{name}_fro")] = float(np.linalg.norm(diff) / np.sqrt(diff.shape[0]))
+
+
 def run_replication(scenario: Scenario, p: int, T: int, rep: int) -> dict:
     """One replication: simulate, fit each method, record aligned errors."""
     rng = np.random.default_rng([scenario.seed, p, T, rep])
@@ -150,41 +149,28 @@ def run_replication(scenario: Scenario, p: int, T: int, rep: int) -> dict:
     spec = BasisSpec(family=scenario.basis_family, J=J)
     basis = build_basis(panel.data.x, spec)
     projector = make_projector(basis)
-    lam_true = panel.g_true + panel.gamma_true
-    sqrt_p = np.sqrt(p)
 
     record = {"p": p, "T": T, "rep": rep, "J": J, "metrics": {}}
     metrics = record["metrics"]
     for method in scenario.methods:
-        if method == "projected_pca":
-            fit = fit_projected_pca(panel.data, projector, scenario.k)
-            signs, f_max, f_fro = align_columns(fit.f_hat, panel.f_true)
-            metrics[(method, "factor_max")] = f_max
-            metrics[(method, "factor_fro")] = f_fro
+        if method in ("projected_pca", "regular_pca"):
+            if method == "projected_pca":
+                fit = fit_projected_pca(panel.data, projector, scenario.k)
+            else:
+                fit = fit_regular_pca(panel.data.y, scenario.k)
+            signs, _, _ = align_columns(fit.f_hat, panel.f_true)
             for name, est, truth in (
-                ("lambda", fit.lambda_hat, lam_true),
-                ("g", fit.g_hat, panel.g_true),
+                ("factor", fit.f_hat, panel.f_true),
+                ("lambda", fit.lambda_hat, panel.g_true + panel.gamma_true),
+                ("g", fit.g_hat, panel.g_true),  # None for regular_pca
                 ("gamma", fit.gamma_hat, panel.gamma_true),
             ):
-                diff = est * signs - truth
-                metrics[(method, f"{name}_max")] = float(np.abs(diff).max())
-                metrics[(method, f"{name}_fro")] = float(
-                    np.linalg.norm(diff) / sqrt_p
-                )
-        elif method == "regular_pca":
-            fit = fit_regular_pca(panel.data.y, scenario.k)
-            signs, f_max, f_fro = align_columns(fit.f_hat, panel.f_true)
-            metrics[(method, "factor_max")] = f_max
-            metrics[(method, "factor_fro")] = f_fro
-            diff = fit.lambda_hat * signs - lam_true
-            metrics[(method, "lambda_max")] = float(np.abs(diff).max())
-            metrics[(method, "lambda_fro")] = float(np.linalg.norm(diff) / sqrt_p)
+                if est is not None:
+                    _record_errors(metrics, method, name, est * signs - truth)
         elif method == "sieve_ls_known_factors":
             # loadings from projected LS with the true factors observed
             est = projector.project(panel.data.y) @ panel.f_true / T
-            diff = est - panel.g_true
-            metrics[(method, "g_max")] = float(np.abs(diff).max())
-            metrics[(method, "g_fro")] = float(np.linalg.norm(diff) / sqrt_p)
+            _record_errors(metrics, method, "g", est - panel.g_true)
         elif method in SELECT_K_METHODS:
             P = projector if method == "select_k_projected" else None
             k_hat = select_k(panel.data.y, P, basis.m).k_hat

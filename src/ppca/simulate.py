@@ -33,6 +33,8 @@ FACTOR_VAR_A = np.array(
     ]
 )
 
+BURN_IN = 100  # VAR draws discarded before the T kept ones
+
 # Covariate correlation matrix for the calibrated design.  The source
 # data's 4x4 correlation matrix is not published; these are plausible
 # stand-in values (moderate positive dependence among firm size /
@@ -53,7 +55,6 @@ class VarProcess:
 
     a: np.ndarray
     sigma_eps: np.ndarray
-    burn_in: int = 100
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -82,8 +83,8 @@ class VarProcess:
         return self.a.shape[0]
 
 
-def default_var_process(burn_in: int = 100) -> VarProcess:
-    return VarProcess(a=FACTOR_VAR_A, sigma_eps=FACTOR_VAR_SIGMA, burn_in=burn_in)
+def default_var_process() -> VarProcess:
+    return VarProcess(a=FACTOR_VAR_A, sigma_eps=FACTOR_VAR_SIGMA)
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,6 @@ class SimulatedPanel:
     g_true: np.ndarray
     gamma_true: np.ndarray
     k_true: int
-    seed: int
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -133,13 +133,13 @@ def simulate_var(proc: VarProcess, T: int, rng) -> np.ndarray:
         raise InvalidSpecError("T must be >= 1")
     K = proc.k
     chol = np.linalg.cholesky(proc.sigma_eps)
-    eps = rng.standard_normal((proc.burn_in + T, K)) @ chol.T
-    out = np.empty((proc.burn_in + T, K))
+    eps = rng.standard_normal((BURN_IN + T, K)) @ chol.T
+    out = np.empty((BURN_IN + T, K))
     state = np.zeros(K)
-    for t in range(proc.burn_in + T):
+    for t in range(BURN_IN + T):
         state = proc.a @ state + eps[t]
         out[t] = state
-    return out[proc.burn_in :]
+    return out[BURN_IN:]
 
 
 def nearest_pd(M: np.ndarray, floor: float = 1e-8) -> np.ndarray:
@@ -209,7 +209,6 @@ def gen_design2(p: int, T: int, rng=None, seed: int | None = None) -> SimulatedP
         g_true=g0,
         gamma_true=np.zeros_like(g0),
         k_true=3,
-        seed=-1 if seed is None else int(seed),
     )
 
 
@@ -314,5 +313,4 @@ def gen_calibrated(
         g_true=g0,
         gamma_true=gamma0,
         k_true=K,
-        seed=-1 if seed is None else int(seed),
     )

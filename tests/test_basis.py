@@ -227,19 +227,19 @@ class TestBsplineOracle:
 class TestSpecSerialization:
     def test_round_trip(self):
         spec = BasisSpec(family="fourier", J=6, include_intercept=False)
-        again = BasisSpec.from_json(spec.to_json())
-        assert again == spec
+        obj = spec.to_dict()
+        assert set(obj) == {"family", "J", "knot_rule", "intercept", "standardize"}
+        assert BasisSpec.from_dict(obj) == spec
 
     def test_documented_schema(self):
-        spec = BasisSpec.from_json(
-            '{"family":"bspline_cubic","J":8,"knot_rule":"quantile",'
-            '"intercept":true,"standardize":true}'
+        spec = BasisSpec.from_dict(
+            {"family": "bspline_cubic", "J": 8, "knot_rule": "quantile",
+             "intercept": True, "standardize": True}
         )
         assert spec.J == 8
         assert spec.include_intercept
 
     def test_bad_json(self):
+        # invalid JSON text is the file reader's error: TestFit::test_missing_file_exit_2
         with pytest.raises(InvalidSpecError):
-            BasisSpec.from_json("{not json")
-        with pytest.raises(InvalidSpecError):
-            BasisSpec.from_json('{"family":"bspline_cubic","bogus":1}')
+            BasisSpec.from_dict({"family": "bspline_cubic", "bogus": 1})

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -56,15 +57,22 @@ class TestFit:
         np.testing.assert_allclose(sign * factors[:, 0], target, atol=1e-10)
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
-        # a missing file, then a ragged Y.csv
+        # a missing file, a ragged Y.csv, then a --basis spec that is missing or not JSON
         y_path, x_path = _write_panel(tmp_path, np.ones((2, 2)), np.ones((2, 1)))
+        (tmp_path / "ok").mkdir()
+        good_y, good_x = _write_panel(tmp_path / "ok", np.ones((8, 3)), np.arange(8.0)[:, None])
         y_path.write_text("1.0,2.0\n3.0\n")
-        for data, covariates, msg in (
-            (tmp_path / "nope.csv", tmp_path / "nope2.csv", "error"),
-            (y_path, x_path, "row 2 has 1 fields"),
+        bad_spec = tmp_path / "bad.json"
+        bad_spec.write_text("{not json")
+        for data, covariates, basis, msg in (
+            (tmp_path / "nope.csv", tmp_path / "nope2.csv", [], "error"),
+            (y_path, x_path, [], "row 2 has 1 fields"),
+            (good_y, good_x, ["--basis", str(tmp_path / "nope.json")],
+             f"file not found: {tmp_path / 'nope.json'}"),
+            (good_y, good_x, ["--basis", str(bad_spec)], f"{bad_spec}: invalid JSON"),
         ):
             rc = main([
-                "fit", "--data", str(data), "--covariates", str(covariates),
+                "fit", "--data", str(data), "--covariates", str(covariates), *basis,
                 "--out", str(tmp_path / "o"),
             ])
             assert rc == 2
@@ -149,10 +157,12 @@ class TestSimulate:
         manifest = json.loads((out2 / "manifest.json").read_text())
         assert manifest["seed"] == 8
 
-    def test_bad_config_key_exit_2(self, tmp_path):
+    def test_bad_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps({"design": "design2", "p": 40, "T": 10, "frob": 1}))
-        assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        for bad in ({"frob": 1}, {"p": "x"}, {"p": None}, {"seed": "abc"}):
+            cfg.write_text(json.dumps({"design": "design2", "p": 40, "T": 10, **bad}))
+            assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestTest:
@@ -202,7 +212,7 @@ class TestAutoK:
 
 
 class TestBenchmark:
-    def test_small_run_and_bad_reps(self, tmp_path):
+    def test_small_run_and_bad_reps(self, tmp_path, capsys):
         scen = {
             "design": "design2", "p_grid": [40], "T_grid": [10], "K": 3,
             "methods": ["projected_pca", "select_k_projected", "select_k_plain"],
@@ -217,9 +227,11 @@ class TestBenchmark:
         cells = {tuple(r.split(",")[3:5]) for r in text.splitlines()}
         assert {(m, k) for m in scen["methods"][1:] for k in ("k_hit", "k_abs_err")} <= cells
         assert (out / "raw_errors.csv").exists()
-        scen["n_reps"] = 0
-        path.write_text(json.dumps(scen))
-        assert main(["benchmark", "--scenario", str(path), "--out", str(out)]) == 2
+        for bad in ({"n_reps": 0}, {"p_grid": ["a"]}, {"J_rule": 5}, {"J_rule": {"C": "x"}},
+                    {"K": "3"}, {"seed": "x"}):
+            path.write_text(json.dumps({**scen, **bad}))
+            assert main(["benchmark", "--scenario", str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_import_skips_scipy_stats():
@@ -260,3 +272,15 @@ def test_simulate_and_fit_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                          text=True, check=True, env=env)
     assert [json.loads(line) for line in out.stdout.splitlines()] == [[]] * 4
+
+
+def test_only_dataio_imports_json():
+    # every file format lives in dataio; the numeric modules and the CLI pass dicts
+    importers = set()
+    for path in Path(ppca.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(n is not None and n.split(".")[0] == "json" for n in names):
+                importers.add(path.name)
+    assert importers == {"dataio.py"}

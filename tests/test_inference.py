@@ -77,7 +77,8 @@ class TestGZero:
     def test_result_schema(self, design2_setup):
         panel, basis, P = design2_setup
         res = inference.test_g_zero(panel.data, P, 3)
-        obj = json.loads(res.to_json())
+        obj = res.to_dict()
+        assert json.loads(json.dumps(obj)) == obj  # what `ppca test` writes
         assert set(obj) == {"statistic", "standardized", "df", "p_normal", "p_chisq", "K"}
         # centered cubic blocks lose one dimension per covariate (the raw
         # block already spans the constant), so the projected dimension
@@ -185,6 +186,8 @@ class TestSelectK:
         panel = gen_design2(80, 25, seed=5)
         basis = build_basis(panel.data.x, BasisSpec(J=9))
         res = select_k(panel.data.y, make_projector(basis), basis.m)
-        obj = json.loads(res.to_json())
+        obj = res.to_dict()
+        assert json.loads(json.dumps(obj)) == obj
+        assert set(obj) == {"K_hat", "eigenvalues", "ratios", "method", "at_boundary"}
         assert obj["K_hat"] == res.k_hat
         assert len(obj["ratios"]) >= 1

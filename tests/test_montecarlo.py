@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import pytest
@@ -28,12 +27,13 @@ SELECT_K = replace(SMALL, methods=("select_k_projected", "select_k_plain"))
 
 class TestScenario:
     def test_json_round_trip(self):
-        again = Scenario.from_json(SMALL.to_json())
-        assert again == SMALL
+        obj = SMALL.to_dict()
+        assert set(obj) == {"design", "p_grid", "T_grid", "K", "J_rule", "methods",
+                            "n_reps", "seed", "basis_family"}
+        assert Scenario.from_dict(obj) == SMALL
 
     def test_unknown_key_rejected(self):
-        obj = json.loads(SMALL.to_json())
-        obj["bogus"] = 1
+        obj = {**SMALL.to_dict(), "bogus": 1}
         with pytest.raises(InvalidSpecError):
             Scenario.from_dict(obj)
 
@@ -51,7 +51,7 @@ class TestScenario:
 
     def test_j_rule_round_trip(self):
         s = Scenario(j_c=2.5, j_kappa=5.0)
-        assert Scenario.from_json(s.to_json()) == s
+        assert Scenario.from_dict(s.to_dict()) == s
 
 
 class TestSieveDimension:

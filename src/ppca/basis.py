@@ -73,13 +73,14 @@ class BasisSpec:
         unknown = set(obj) - {"family", "J", "knot_rule", "intercept", "standardize"}
         if unknown:
             raise InvalidSpecError(f"unknown basis spec keys: {sorted(unknown)}")
-        if "J" in obj and not isinstance(obj["J"], int):
+        if "J" in obj and (isinstance(obj["J"], bool) or not isinstance(obj["J"], int)):
             raise InvalidSpecError("J must be an integer")
         kwargs = {key: obj[key] for key in ("family", "J", "knot_rule") if key in obj}
-        if "intercept" in obj:
-            kwargs["include_intercept"] = bool(obj["intercept"])
-        if "standardize" in obj:
-            kwargs["standardize"] = bool(obj["standardize"])
+        for key, name in (("intercept", "include_intercept"), ("standardize", "standardize")):
+            if key in obj:
+                if not isinstance(obj[key], bool):
+                    raise InvalidSpecError(f"{key} must be true or false, got {obj[key]!r}")
+                kwargs[name] = obj[key]
         return cls(**kwargs)
 
 

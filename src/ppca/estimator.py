@@ -3,9 +3,9 @@
 Factors come from the top eigenvectors of Y'PY or Y'Y, and ``_spectrum``
 alone decides how they are computed.  Y'PY = Z'Z with Z = Q'Y only m x T,
 so projected mode takes a thin SVD of Z and never forms a T x T matrix;
-plain mode eigendecomposes the T x T Gram matrix Y'Y, which is cheaper
-than an SVD of the p x T panel.  Loadings follow by least squares,
-Lambda_hat = Y F_hat / T, split into the projected part G_hat and the
+plain mode takes the top K pairs of the T x T Gram matrix Y'Y by subspace
+iteration (``_top_eigh``), cheaper than a full eigh or an SVD of the p x T
+panel.  Loadings follow by least squares, Lambda_hat = Y F_hat / T, split into the projected part G_hat and the
 orthogonal remainder Gamma_hat.
 """
 
@@ -30,6 +30,7 @@ from .projection import Projector
 
 NEAR_TIE_RTOL = 1e-8
 SIGMA_FLOOR_REL = 1e-12
+TOP_EIGH_MAX_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -77,23 +78,63 @@ class FitResult:
 
 
 def _column_signs(V: np.ndarray) -> np.ndarray:
-    """+1 or -1 per column: the sign of its largest-magnitude entry (ties: lowest index)."""
+    """+1 or -1 per column: the sign of sum(v**3).
+
+    Unlike the largest entry's sign, it survives a near tie between entries
+    of opposite sign.  Where |sum v^3| <= 1e-8 sum |v|^3 the largest-magnitude
+    entry (lowest index) decides.
+    """
+    cubes = np.sum(V**3, axis=0)
     top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
-    return np.where(top < 0, -1.0, 1.0)
+    clear = np.abs(cubes) > 1e-8 * np.sum(np.abs(V) ** 3, axis=0)
+    return np.where(np.where(clear, cubes, top) < 0, -1.0, 1.0)
 
 
 def fix_signs(V: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude entry positive (ties: lowest index)."""
+    """Flip each column so that sum(v**3) is positive (see ``_column_signs``)."""
     V = np.asarray(V, dtype=float)
     return V * _column_signs(V)
 
 
-def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
-    """Eigenvalues of Y'PY (P given) or Y'Y, descending, all T = Y.shape[1].
+def _top_eigh(g: np.ndarray, K: int):
+    """The K + 1 leading Ritz pairs of the symmetric PSD g, or its full ``eigh``.
 
-    Returns ``(w, v)`` with ``v`` the top-K eigenvectors, signs fixed
-    (None for K = 0).  Projected mode pads the eigenvalues beyond the
-    rank of Q'Y with zeros; plain mode computes only values for K = 0.
+    Block subspace iteration with Rayleigh-Ritz (Saad, ch. 5) on q = K + 5
+    columns from a fixed-seed start, until the first K residuals are at most
+    1e-13 * theta_1 and lambda_{K+1} is settled for the near-tie check: bounded
+    (Courant-Fischer) by the Frobenius norm of g minus its top-K Ritz part, or
+    converged too.  Falls back to ``eigh`` when q >= g.shape[0], at the step
+    cap, or once the rate theta_q / theta_K shows the cap cannot be met.
+    """
+    q = K + 5
+    if q < g.shape[0]:
+        w = g @ np.random.default_rng(0).standard_normal((g.shape[0], q))
+        n = K  # pairs whose residuals must converge
+        for step in range(1, TOP_EIGH_MAX_STEPS + 1):
+            v, _ = np.linalg.qr(w)
+            w = g @ v
+            theta, s = np.linalg.eigh(v.T @ w)
+            theta, v, w = theta[::-1], v @ s[:, ::-1], w @ s[:, ::-1]
+            resid = np.linalg.norm(w[:, : K + 1] - v[:, : K + 1] * theta[: K + 1], axis=0)
+            tol = 1e-13 * theta[0]
+            if n == K and resid[:K].max() <= tol:
+                bound = np.linalg.norm(g - (v[:, :K] * theta[:K]) @ v[:, :K].T)
+                n = K if bound * (1.0 + NEAR_TIE_RTOL) < theta[K - 1] else K + 1
+            if resid[:n].max() <= tol:
+                return theta[: K + 1], v[:, : K + 1]
+            rate = abs(theta[-1] / theta[n - 1]) if theta[n - 1] > 0 else 1.0
+            if resid[:n].max() * rate ** (TOP_EIGH_MAX_STEPS - step) > tol:
+                break
+    return np.linalg.eigh(g)
+
+
+def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
+    """Eigenvalues of Y'PY (P given) or Y'Y, descending, and top-K eigenvectors.
+
+    Returns ``(w, v)`` with ``v`` signs fixed (None for K = 0).  ``w`` holds
+    all T = Y.shape[1] values, zero beyond the rank of Q'Y in projected mode,
+    except in plain mode with K > 0: there only the leading K + 1, unless
+    ``_top_eigh`` fell back to the full ``eigh``.
     """
     T = y.shape[1]
     try:
@@ -101,13 +142,13 @@ def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
             _, s, vt = np.linalg.svd(P.q.T @ y, full_matrices=False)
             w, v = s**2, vt.T
         elif K:
-            w, v = np.linalg.eigh(y.T @ y)
+            w, v = _top_eigh(y.T @ y, K)
         else:
             w, v = np.linalg.eigvalsh(y.T @ y), None
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(w)[::-1]
-    w = np.concatenate([w[order], np.zeros(T - w.size)])
+    w = w[order] if P is None else np.concatenate([w[order], np.zeros(T - w.size)])
     if 0 < K < T and w[K] > 0 and w[K - 1] / w[K] < 1.0 + NEAR_TIE_RTOL:
         warnings.warn(
             f"eigenvalues {K} and {K + 1} nearly tied (ratio "
@@ -264,7 +305,7 @@ def verify_equivalence(
         fit = fit_projected_pca(data, P, K)
     py = P.project(data.y)
     T = data.T
-    # plain mode on (PY)' eigendecomposes the p x p Gram P Y Y' P
+    # plain mode on (PY)' works on the p x p Gram P Y Y' P
     d_vals, xi = _spectrum(py.T, None, K)
     cand = xi @ np.diag(np.sqrt(np.maximum(d_vals[:K] / T, 0.0)))
     signs, max_err, _ = align_columns(cand, fit.g_hat)

@@ -57,6 +57,8 @@ class Scenario:
         for key, val in (("K", self.k), ("n_reps", self.n_reps), ("seed", self.seed)):
             if isinstance(val, bool) or not isinstance(val, numbers.Integral):
                 raise InvalidSpecError(f"{key} must be an integer, got {val!r}")
+        if self.k < 1:
+            raise InvalidSpecError(f"K must be >= 1, got {self.k}")
         if self.n_reps < 1:
             raise InvalidSpecError("n_reps must be >= 1")
         if not self.p_grid or not self.t_grid:

@@ -239,6 +239,17 @@ class TestSpecSerialization:
         assert spec.J == 8
         assert spec.include_intercept
 
+    def test_flags_must_be_json_booleans(self):
+        # bool("false") is True, so a string flag must be refused, not coerced
+        for key in ("intercept", "standardize"):
+            with pytest.raises(InvalidSpecError, match=key):
+                BasisSpec.from_dict({"family": "polynomial", "J": 2, key: "false"})
+
+    def test_j_rejects_boolean(self):
+        # bool is a subclass of int, so "J": true would otherwise read as J = 1
+        with pytest.raises(InvalidSpecError, match="J must be an integer"):
+            BasisSpec.from_dict({"family": "polynomial", "J": True})
+
     def test_bad_json(self):
         # invalid JSON text is the file reader's error: TestFit::test_missing_file_exit_2
         with pytest.raises(InvalidSpecError):

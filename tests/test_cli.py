@@ -57,19 +57,23 @@ class TestFit:
         np.testing.assert_allclose(sign * factors[:, 0], target, atol=1e-10)
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
-        # a missing file, a ragged Y.csv, then a --basis spec that is missing or not JSON
+        # a missing file, a ragged Y.csv, then a --basis spec that is missing, not
+        # JSON, or has a flag given as a string
         y_path, x_path = _write_panel(tmp_path, np.ones((2, 2)), np.ones((2, 1)))
         (tmp_path / "ok").mkdir()
         good_y, good_x = _write_panel(tmp_path / "ok", np.ones((8, 3)), np.arange(8.0)[:, None])
         y_path.write_text("1.0,2.0\n3.0\n")
         bad_spec = tmp_path / "bad.json"
         bad_spec.write_text("{not json")
+        str_flag = tmp_path / "str_flag.json"
+        str_flag.write_text(json.dumps({"family": "polynomial", "J": 2, "intercept": "false"}))
         for data, covariates, basis, msg in (
             (tmp_path / "nope.csv", tmp_path / "nope2.csv", [], "error"),
             (y_path, x_path, [], "row 2 has 1 fields"),
             (good_y, good_x, ["--basis", str(tmp_path / "nope.json")],
              f"file not found: {tmp_path / 'nope.json'}"),
             (good_y, good_x, ["--basis", str(bad_spec)], f"{bad_spec}: invalid JSON"),
+            (good_y, good_x, ["--basis", str(str_flag)], "intercept must be true or false"),
         ):
             rc = main([
                 "fit", "--data", str(data), "--covariates", str(covariates), *basis,
@@ -228,7 +232,7 @@ class TestBenchmark:
         assert {(m, k) for m in scen["methods"][1:] for k in ("k_hit", "k_abs_err")} <= cells
         assert (out / "raw_errors.csv").exists()
         for bad in ({"n_reps": 0}, {"p_grid": ["a"]}, {"J_rule": 5}, {"J_rule": {"C": "x"}},
-                    {"K": "3"}, {"seed": "x"}):
+                    {"K": "3"}, {"K": 0}, {"seed": "x"}):
             path.write_text(json.dumps({**scen, **bad}))
             assert main(["benchmark", "--scenario", str(path), "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith("error: ")

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppca.basis import BasisSpec, build_basis
 from ppca.estimator import (
     PanelData,
+    _top_eigh,
     align_columns,
     estimate_sigma_u,
     fit_projected_pca,
     fit_regular_pca,
+    fix_signs,
     identification_transform,
     verify_equivalence,
 )
@@ -156,6 +160,89 @@ class TestRegularPca:
         proj_fit = fit_projected_pca(data, P, 2)
         reg_fit = fit_regular_pca(data.y, 2)
         np.testing.assert_allclose(proj_fit.f_hat, reg_fit.f_hat, atol=1e-8)
+
+
+def _gram_eigh_reference(y, K):
+    """Regular-PCA factors and eigenvalues from a full T x T eigh of Y'Y."""
+    T = y.shape[1]
+    w, v = np.linalg.eigh(y.T @ y)
+    return np.sqrt(T) * fix_signs(v[:, ::-1][:, :K]), w[::-1][:K] / T
+
+
+class TestRegularPcaGramOracle:
+    """fit_regular_pca against a full T x T eigh, on every route ``_top_eigh`` takes."""
+
+    @pytest.mark.parametrize("case, K, n_values", [
+        ("design2", 3, 4),  # converges by subspace iteration
+        ("noise", 3, 200),  # no gap: falls back to the full eigh
+        ("rank_deficient", 3, 4),  # p < T, so Y'Y has T - p zero eigenvalues
+        ("tiny_wide", 2, 3),  # q = K + 5 >= T: full eigh
+        ("tiny_tall", 1, 4),
+    ])
+    def test_matches_eigh(self, rng, case, K, n_values):
+        y = {
+            "design2": lambda: gen_design2(300, 200, seed=1).data.y,
+            "noise": lambda: rng.standard_normal((300, 200)),
+            "rank_deficient": lambda: gen_design2(20, 60, seed=2).data.y,
+            "tiny_wide": lambda: rng.standard_normal((4, 3)),
+            "tiny_tall": lambda: rng.standard_normal((3, 4)),
+        }[case]()
+        assert _top_eigh(y.T @ y, K)[0].size == n_values
+        fit = fit_regular_pca(y, K)
+        f_ref, eig_ref = _gram_eigh_reference(y, K)
+        np.testing.assert_allclose(fit.f_hat, f_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fit.eigvals, eig_ref, rtol=1e-10)
+        again = fit_regular_pca(y, K)
+        assert again.f_hat.tobytes() == fit.f_hat.tobytes()
+        assert again.eigvals.tobytes() == fit.eigvals.tobytes()
+
+    def test_near_tie_warns_and_matches(self, rng):
+        u = np.linalg.qr(rng.standard_normal((40, 4)))[0]
+        vt = np.linalg.qr(rng.standard_normal((30, 4)))[0].T
+        y = u @ np.diag([3.0, 2.0, 2.0, 1.0]) @ vt  # Y'Y eigenvalues 2 and 3 tie
+        # the tie defeats the gap bound, so pair K + 1 is iterated to convergence
+        assert _top_eigh(y.T @ y, 2)[0].size == 3
+        with pytest.warns(NearTieWarning):
+            fit = fit_regular_pca(y, 2)
+        f_ref, eig_ref = _gram_eigh_reference(y, 2)
+        np.testing.assert_allclose(fit.eigvals, eig_ref, rtol=1e-10)
+        # inside the tied pair the second factor is not determined
+        np.testing.assert_allclose(fit.f_hat[:, 0], f_ref[:, 0], rtol=0, atol=1e-10)
+
+
+@st.composite
+def _signed_factor_panels(draw):
+    """Exact rank-K panels whose factors are the eigenvectors of Y'Y.
+
+    The factors have disjoint supports, so they are orthogonal; with
+    ``tied`` each holds two entries of opposite sign and equal magnitude
+    that exceeds every other entry, the case where the largest-entry sign
+    rule hangs on rounding.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    K, block, p = draw(st.integers(1, 3)), draw(st.integers(7, 12)), draw(st.integers(10, 60))
+    f = np.zeros((K * block, K))
+    for k in range(K):
+        col = rng.uniform(-1.0, 1.0, block)
+        if draw(st.booleans()):
+            col[:2] = [1.5, -1.5]
+        f[k * block:(k + 1) * block, k] = col / np.linalg.norm(col)
+    lam = np.linalg.qr(rng.standard_normal((p, K)))[0] * np.array([9.0, 4.0, 2.0])[:K]
+    return lam @ f.T, K
+
+
+class TestSignsAcrossSolvers:
+    @given(_signed_factor_panels())
+    @settings(max_examples=60, deadline=None)
+    def test_iteration_and_eigh_agree_on_signs(self, panel):
+        y, K = panel
+        w, v = _top_eigh(y.T @ y, K)
+        assert w.size == K + 1  # the iteration route, not its eigh fallback
+        order = np.argsort(w)[::-1][:K]
+        _, ref = np.linalg.eigh(y.T @ y)
+        np.testing.assert_allclose(
+            fix_signs(v[:, order]), fix_signs(ref[:, ::-1][:, :K]), rtol=0, atol=1e-8
+        )
 
 
 class TestVerifyEquivalence:

@@ -60,6 +60,26 @@ class TestGZero:
         res = inference.test_g_zero(data, P, 2)
         assert res.statistic < 1e-16
 
+    @pytest.mark.parametrize("case, n_gram_calls", [("design2", 0), ("noise", 1)])
+    def test_no_full_gram_eigh_unless_fallback(self, monkeypatch, rng, case, n_gram_calls):
+        # regular PCA takes its top-K pairs by subspace iteration; only a
+        # panel with no eigengap (pure noise) falls back to the T x T eigh
+        p, T = 300, 200
+        panel = gen_design2(p, T, seed=4)
+        y = panel.data.y if case == "design2" else rng.standard_normal((p, T))
+        data = PanelData(y=y, x=panel.data.x)
+        P = make_projector(build_basis(data.x, BasisSpec(J=8)))
+        shapes, eigh = [], np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        inference.test_g_zero(data, P, 3)
+        assert shapes.count((T, T)) == n_gram_calls
+        assert shapes  # the Rayleigh-Ritz steps went through the recorder
+
     def test_power_on_design2(self, design2_setup):
         panel, _, P = design2_setup
         res = inference.test_g_zero(panel.data, P, 3)

@@ -214,17 +214,21 @@ def fit_regular_pca(y: np.ndarray, K: int) -> FitResult:
 def estimate_sigma_u(y: np.ndarray, f_hat: Optional[np.ndarray]) -> np.ndarray:
     """Diagonal idiosyncratic variances, Sigma_u = diag(Y (I - FF'/T) Y') / T.
 
+    Requires F'F/T = I, as every fit returns (``InvalidSpecError`` beyond
+    1e-8).  Then the diagonal is ||y_i||^2 / T - ||lambda_i||^2 with
+    Lambda = Y F / T, two row sums that never form the p x T residual.
     With no factors the variances reduce to row second moments.  Entries
     are floored at ``SIGMA_FLOOR_REL`` times the largest variance so the
     inverse stays finite on exact-fit rows.
     """
     y = np.asarray(y, dtype=float)
     T = y.shape[1]
-    if f_hat is None or f_hat.size == 0:
-        resid = y
-    else:
-        resid = y - (y @ f_hat) @ f_hat.T / T
-    variances = np.sum(resid**2, axis=1) / T
+    variances = np.einsum("it,it->i", y, y) / T
+    if f_hat is not None and f_hat.size:
+        if np.abs(f_hat.T @ f_hat / T - np.eye(f_hat.shape[1])).max() > 1e-8:
+            raise InvalidSpecError("f_hat must satisfy F'F/T = I")
+        lam = y @ f_hat / T
+        variances -= np.einsum("ik,ik->i", lam, lam)
     top = variances.max()
     floor = SIGMA_FLOOR_REL * top if top > 0 else SIGMA_FLOOR_REL
     return np.maximum(variances, floor)

@@ -34,7 +34,6 @@ from .estimator import (
 )
 from .exceptions import (
     BoundaryWarning,
-    InvalidSpecError,
     RangeEmptyError,
     SingularWeightError,
 )
@@ -96,6 +95,19 @@ class TestResult:
         }
 
 
+def _result(statistic: float, scaled: float, df: int, K: int) -> TestResult:
+    """Standardize ``scaled`` (chi-square_df under H0) and attach both p-values."""
+    standardized = (scaled - df) / np.sqrt(2.0 * df)
+    return TestResult(
+        statistic=statistic,
+        standardized=float(standardized),
+        df=df,
+        p_value_normal=_normal_sf(standardized),
+        p_value_chisq=_chi2_sf(df, scaled),
+        k_used=K,
+    )
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     k_hat: int
@@ -115,39 +127,24 @@ class SelectionResult:
 
 
 def test_g_zero(data: PanelData, P: Projector, K: int) -> TestResult:
-    """Test H0: G(X) = 0 via S_G = tr(W1 F'Y'PYF) / (T^2 p).
+    """Test H0: G(X) = 0 via S_G = tr(W1 Lam'P Lam) / p = tr(W1 z'z) / p.
 
-    F here is the regular-PCA factor estimate and W1 the inverse of the
-    normalized loading Gram matrix.  Under the null p * S_G is
-    asymptotically chi-square with m K degrees of freedom (m = number of
-    effective basis columns); both the normal standardization and the
-    chi-square upper-tail p-value are reported.
+    Lam = Y F_hat / T are the regular-PCA loadings, read off that fit, and
+    z = Q'Lam the m x K coordinates of P Lam, so Y is multiplied once.  W1
+    is the inverse of the normalized loading Gram matrix Lam'Lam / p.  Under
+    the null p * S_G is asymptotically chi-square with m K degrees of freedom
+    (m = number of effective basis columns); both the normal standardization
+    and the chi-square upper-tail p-value are reported.
     """
-    if K < 1:
-        raise InvalidSpecError("K must be >= 1")
-    y = data.y
-    T, p = data.T, data.p
-    reg = fit_regular_pca(y, K)
-    lam = reg.lambda_hat
+    p = data.p
+    lam = fit_regular_pca(data.y, K).lambda_hat
     w_inv = lam.T @ lam / p
     cond = np.linalg.cond(w_inv)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularWeightError("loading Gram matrix is numerically singular")
-    w1 = np.linalg.inv(w_inv)
-    yf = y @ reg.f_hat
-    core = yf.T @ P.project(yf)
-    s_g = float(np.trace(w1 @ core)) / (T**2 * p)
-    m = P.rank
-    df = m * K
-    standardized = (p * s_g - df) / np.sqrt(2.0 * df)
-    return TestResult(
-        statistic=s_g,
-        standardized=float(standardized),
-        df=df,
-        p_value_normal=_normal_sf(standardized),
-        p_value_chisq=_chi2_sf(df, p * s_g),
-        k_used=K,
-    )
+    z = P.q.T @ lam
+    s_g = float(np.trace(np.linalg.inv(w_inv) @ (z.T @ z))) / p
+    return _result(s_g, p * s_g, P.rank * K, K)
 
 
 def test_gamma_zero(
@@ -165,23 +162,10 @@ def test_gamma_zero(
     It over-rejects at small T: on design 2 (Γ = 0) with T = 50 and J = 8
     it rejects at 5 % for 20 of 20 seeds at p = 1000 (median z 4.2).
     """
-    if K < 1:
-        raise InvalidSpecError("K must be >= 1")
-    T, p = data.T, data.p
     fit = fit_projected_pca(data, P, K)
     sigma = estimate_sigma_u(data.y, fit.f_hat) if sigma_u is None else np.asarray(sigma_u)
-    gam = fit.gamma_hat
-    s_gamma = float(np.sum(gam**2 / sigma[:, None]))
-    df = p * K
-    standardized = (T * s_gamma - df) / np.sqrt(2.0 * df)
-    return TestResult(
-        statistic=s_gamma,
-        standardized=float(standardized),
-        df=df,
-        p_value_normal=_normal_sf(standardized),
-        p_value_chisq=_chi2_sf(df, T * s_gamma),
-        k_used=K,
-    )
+    s_gamma = float(np.sum(fit.gamma_hat**2 / sigma[:, None]))
+    return _result(s_gamma, data.T * s_gamma, data.p * K, K)
 
 
 def select_k(y: np.ndarray, P: Optional[Projector], m: int) -> SelectionResult:

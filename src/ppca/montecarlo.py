@@ -171,7 +171,7 @@ def run_replication(scenario: Scenario, p: int, T: int, rep: int) -> dict:
                     _record_errors(metrics, method, name, est * signs - truth)
         elif method == "sieve_ls_known_factors":
             # loadings from projected LS with the true factors observed
-            est = projector.project(panel.data.y) @ panel.f_true / T
+            est = projector.project(panel.data.y @ panel.f_true) / T
             _record_errors(metrics, method, "g", est - panel.g_true)
         elif method in SELECT_K_METHODS:
             P = projector if method == "select_k_projected" else None

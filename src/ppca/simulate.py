@@ -120,15 +120,9 @@ class SimulatedPanel:
     k_true: int
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def simulate_var(proc: VarProcess, T: int, rng) -> np.ndarray:
     """Draw T rows from the stationary VAR(1), discarding the burn-in."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     if T < 1:
         raise InvalidSpecError("T must be >= 1")
     K = proc.k
@@ -162,7 +156,7 @@ def make_sparse_error_cov(p: int, params: CalibratedParams, rng) -> np.ndarray:
     threshold, and the thresholded correlation matrix is pushed to
     positive definiteness by eigenvalue clipping.
     """
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     if p < 2:
         raise InvalidSpecError("p must be >= 2")
     d = rng.gamma(shape=params.gamma_shape, scale=1.0 / params.gamma_rate, size=p)
@@ -193,9 +187,7 @@ def gen_design2(p: int, T: int, rng=None, seed: int | None = None) -> SimulatedP
         raise InvalidSpecError("design 2 needs p > 3")
     if T < 2:
         raise InvalidSpecError("T must be >= 2")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(seed if rng is None else rng)
     x = rng.standard_normal(p)
     g = design2_curves(x)
     proc = VarProcess(a=FACTOR_VAR_A, sigma_eps=np.eye(3))
@@ -271,30 +263,24 @@ def gen_calibrated(
     p: int,
     T: int,
     params: CalibratedParams | None = None,
-    curves=None,
     rng=None,
     seed: int | None = None,
 ) -> SimulatedPanel:
     """Data-calibrated design: four correlated covariates, sparse noise.
 
-    ``curves`` must expose ``evaluate(X) -> p x K``; the bundled default
-    polynomial curves are used when omitted.  Truths are identified and
+    Loadings follow :func:`default_loading_curves`.  Truths are identified and
     the unexplained loadings Gamma are transformed consistently so that
     Y = (G0 + Gamma0) F0' + U holds exactly.
     """
     if params is None:
         params = CalibratedParams()
-    if curves is None:
-        curves = default_loading_curves()
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(seed if rng is None else rng)
     if T < 2:
         raise InvalidSpecError("T must be >= 2")
     d = params.sigma_x.shape[0]
     chol_x = np.linalg.cholesky(params.sigma_x)
     x = rng.standard_normal((p, d)) @ chol_x.T
-    g = np.asarray(curves.evaluate(x), dtype=float)
+    g = default_loading_curves().evaluate(x)
     K = g.shape[1]
     gamma = rng.normal(0.0, params.gamma_loading_sd, size=(p, K))
     cov = make_sparse_error_cov(p, params, rng)

@@ -170,7 +170,7 @@ class TestSimulate:
 
 
 class TestTest:
-    def test_both_schema(self, tmp_path):
+    def test_both_schema(self, tmp_path, capsys):
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({"design": "design2", "p": 100, "T": 30, "seed": 3}))
         sim_out = tmp_path / "sim"
@@ -196,6 +196,12 @@ class TestTest:
                   "--covariates", str(sim_out / "X.csv"), "--which", "bogus",
                   "--out", str(res_path)])
         assert exc.value.code == 2
+        # K = 0 is refused by the fits the tests run: an input error, exit 2
+        capsys.readouterr()
+        assert main(["test", "--data", str(sim_out / "Y.csv"),
+                     "--covariates", str(sim_out / "X.csv"), "--k", "0",
+                     "--out", str(res_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestAutoK:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ppca.basis import BasisSpec, build_basis
 from ppca.estimator import (
+    SIGMA_FLOOR_REL,
     PanelData,
     _top_eigh,
     align_columns,
@@ -15,7 +16,12 @@ from ppca.estimator import (
     identification_transform,
     verify_equivalence,
 )
-from ppca.exceptions import DimensionMismatchError, KTooLargeError, NearTieWarning
+from ppca.exceptions import (
+    DimensionMismatchError,
+    InvalidSpecError,
+    KTooLargeError,
+    NearTieWarning,
+)
 from ppca.projection import make_projector
 from ppca.simulate import gen_design2
 
@@ -278,12 +284,27 @@ class TestSigmaU:
         var = estimate_sigma_u(y, None)
         np.testing.assert_allclose(var, np.sum(y**2, axis=1) / 9, atol=1e-14)
 
-    def test_matches_residual_oracle(self, rng):
-        y = rng.standard_normal((3, 4))
-        fit = fit_regular_pca(y, 1)
+    @pytest.mark.parametrize("case", ["random", "design2"])
+    def test_matches_residual_oracle(self, rng, case):
+        # the row-sum form ||y_i||^2/T - ||lambda_i||^2 against the p x T residual
+        if case == "random":
+            y = rng.standard_normal((3, 4))
+            fit = fit_regular_pca(y, 1)
+        else:
+            data = gen_design2(1000, 50, seed=8).data
+            y = data.y
+            fit = fit_projected_pca(data, make_projector(build_basis(data.x, BasisSpec(J=8))), 3)
         var = estimate_sigma_u(y, fit.f_hat)
         resid = y - fit.lambda_hat @ fit.f_hat.T
-        np.testing.assert_allclose(var, np.diag(resid @ resid.T) / 4, atol=1e-12)
+        oracle = np.diag(resid @ resid.T) / y.shape[1]
+        assert oracle.min() > 1e3 * SIGMA_FLOOR_REL * oracle.max()  # no row at the floor
+        np.testing.assert_allclose(var, oracle, rtol=1e-10, atol=0)
+
+    def test_rejects_unnormalized_factors(self, rng):
+        T = 10
+        f = np.linalg.qr(rng.standard_normal((T, 2)))[0] * np.sqrt(2 * T)  # F'F/T = 2I
+        with pytest.raises(InvalidSpecError):
+            estimate_sigma_u(rng.standard_normal((5, T)), f)
 
 
 class TestIdentification:

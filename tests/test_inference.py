@@ -1,13 +1,14 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from ppca.basis import BasisSpec, build_basis
-from ppca.estimator import PanelData
-from ppca.exceptions import BoundaryWarning, RangeEmptyError
+from ppca.estimator import PanelData, estimate_sigma_u, fit_projected_pca
+from ppca.exceptions import BoundaryWarning, NearTieWarning, RangeEmptyError
 from ppca import inference
 from ppca.inference import select_k
 from ppca.projection import make_projector
@@ -57,7 +58,9 @@ class TestGZero:
         comp = q - P.project(q)
         y = comp[:, : T]
         data = PanelData(y=y, x=x)
-        res = inference.test_g_zero(data, P, 2)
+        # orthonormal columns tie every eigenvalue of Y'Y
+        with pytest.warns(NearTieWarning):
+            res = inference.test_g_zero(data, P, 2)
         assert res.statistic < 1e-16
 
     @pytest.mark.parametrize("case, n_gram_calls", [("design2", 0), ("noise", 1)])
@@ -145,6 +148,33 @@ class TestGammaZero:
         panel, _, P = design2_setup
         assert inference.test_gamma_zero(panel.data, P, 3).statistic >= 0.0
         assert inference.test_g_zero(panel.data, P, 3).statistic >= 0.0
+
+
+class TestPeakMemory:
+    """No step after reading Y allocates a p x T array."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        data = gen_design2(4000, 200, seed=6).data
+        P = make_projector(build_basis(data.x, BasisSpec(J=8)))
+        return data, P, fit_projected_pca(data, P, 3).f_hat
+
+    @pytest.mark.parametrize("step", ["sigma_u", "fit_projected", "test_g", "test_gamma"])
+    def test_peak_below_quarter_of_y(self, wide, step):
+        data, P, f_hat = wide
+        run = {
+            "sigma_u": lambda: estimate_sigma_u(data.y, f_hat),
+            "fit_projected": lambda: fit_projected_pca(data, P, 3),
+            "test_g": lambda: inference.test_g_zero(data, P, 3),
+            "test_gamma": lambda: inference.test_gamma_zero(data, P, 3),
+        }[step]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * data.y.nbytes, peak / data.y.nbytes
 
 
 class TestSelectK:

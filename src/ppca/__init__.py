@@ -17,7 +17,6 @@ from .estimator import (
     fit_projected_pca,
     fit_regular_pca,
     identification_transform,
-    verify_equivalence,
 )
 from .inference import SelectionResult, TestResult, select_k, test_g_zero, test_gamma_zero
 from .montecarlo import MonteCarloResult, Scenario, run_monte_carlo
@@ -62,5 +61,4 @@ __all__ = [
     "simulate_var",
     "test_g_zero",
     "test_gamma_zero",
-    "verify_equivalence",
 ]

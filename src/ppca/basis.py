@@ -19,7 +19,6 @@ import numpy as np
 
 from .exceptions import (
     InvalidSpecError,
-    OutOfRangeError,
     RankWarning,
     ZeroVarianceError,
 )
@@ -167,7 +166,7 @@ def _bspline_knots(x: np.ndarray, J: int, rule: str) -> np.ndarray:
         eps = 1e-12 * max(1.0, abs(hi - lo))
         if np.any(np.diff(interior) <= eps) or interior[0] <= lo or interior[-1] >= hi:
             raise InvalidSpecError(
-                "knots are not strictly increasing; too few distinct covariate values"
+                "knots coincide; too few distinct covariate values"
             )
     else:
         interior = np.empty(0)
@@ -308,7 +307,7 @@ class CurveValues:
     intercept: np.ndarray
 
 
-def design_row(basis: BasisMatrix, x: np.ndarray, strict: bool = False) -> np.ndarray:
+def design_row(basis: BasisMatrix, x: np.ndarray) -> np.ndarray:
     """Evaluate the centered design matrix at new points (n x m)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     spec = basis.spec
@@ -322,13 +321,6 @@ def design_row(basis: BasisMatrix, x: np.ndarray, strict: bool = False) -> np.nd
         raise InvalidSpecError("evaluation points have non-finite entries")
     mu, sd = np.array(basis.standardization).T
     xs = (x - mu) / sd
-    if strict:
-        lo, hi = np.array(basis.supports).T
-        outside = np.flatnonzero(np.any((xs < lo) | (xs > hi), axis=0))
-        if outside.size:
-            raise OutOfRangeError(
-                f"evaluation point outside training range of covariate {outside[0]}"
-            )
     rows = _raw_design(spec, basis.knots, basis.supports, xs)
     rows = rows - basis.centers[1 if spec.include_intercept else 0 :]
     if spec.include_intercept:
@@ -336,9 +328,7 @@ def design_row(basis: BasisMatrix, x: np.ndarray, strict: bool = False) -> np.nd
     return rows
 
 
-def eval_curves(
-    B_hat: np.ndarray, basis: BasisMatrix, x: np.ndarray, strict: bool = False
-) -> CurveValues:
+def eval_curves(B_hat: np.ndarray, basis: BasisMatrix, x: np.ndarray) -> CurveValues:
     """Evaluate fitted additive loading curves g_k at points x.
 
     Reuses the stored knots, centering constants, and standardization
@@ -352,7 +342,7 @@ def eval_curves(
         raise InvalidSpecError(
             f"coefficient rows ({B_hat.shape[0]}) != basis columns ({basis.m})"
         )
-    rows = design_row(basis, x, strict=strict)
+    rows = design_row(basis, x)
     n, K = rows.shape[0], B_hat.shape[1]
     total = rows @ B_hat
     spec = basis.spec

@@ -293,24 +293,3 @@ def align_columns(est: np.ndarray, truth: np.ndarray):
     diff = est * signs - truth
     n = est.shape[0]
     return signs, float(np.abs(diff).max()), float(np.linalg.norm(diff) / np.sqrt(n))
-
-
-def verify_equivalence(
-    data: PanelData, P: Projector, K: int, fit: Optional[FitResult] = None
-) -> float:
-    """Max discrepancy between G_hat = P Y F_hat / T and Xi D^(1/2).
-
-    Xi and D come from the p x p eigenproblem (1/T) P Y Y' P computed
-    directly (an independent route from the SVD of Q'Y used by the
-    fit), so agreement is a genuine cross-check of the two loading
-    formulas rather than an algebraic tautology.
-    """
-    if fit is None:
-        fit = fit_projected_pca(data, P, K)
-    py = P.project(data.y)
-    T = data.T
-    # plain mode on (PY)' works on the p x p Gram P Y Y' P
-    d_vals, xi = _spectrum(py.T, None, K)
-    cand = xi @ np.diag(np.sqrt(np.maximum(d_vals[:K] / T, 0.0)))
-    signs, max_err, _ = align_columns(cand, fit.g_hat)
-    return max_err

@@ -34,6 +34,7 @@ from .estimator import (
 )
 from .exceptions import (
     BoundaryWarning,
+    InvalidSpecError,
     RangeEmptyError,
     SingularWeightError,
 )
@@ -162,8 +163,12 @@ def test_gamma_zero(
     It over-rejects at small T: on design 2 (Γ = 0) with T = 50 and J = 8
     it rejects at 5 % for 20 of 20 seeds at p = 1000 (median z 4.2).
     """
+    if sigma_u is not None:
+        sigma_u = np.asarray(sigma_u, dtype=float)
+        if sigma_u.shape != (data.p,) or not np.all(np.isfinite(sigma_u) & (sigma_u > 0)):
+            raise InvalidSpecError(f"sigma_u must hold {data.p} finite positive variances")
     fit = fit_projected_pca(data, P, K)
-    sigma = estimate_sigma_u(data.y, fit.f_hat) if sigma_u is None else np.asarray(sigma_u)
+    sigma = estimate_sigma_u(data.y, fit.f_hat) if sigma_u is None else sigma_u
     s_gamma = float(np.sum(fit.gamma_hat**2 / sigma[:, None]))
     return _result(s_gamma, data.T * s_gamma, data.p * K, K)
 

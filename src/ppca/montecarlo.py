@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import FAMILIES, BasisSpec, build_basis, default_J
 from .estimator import align_columns, fit_projected_pca, fit_regular_pca
-from .exceptions import InputError, InvalidSpecError, PpcaError
+from .exceptions import InvalidSpecError, PpcaError
 from .inference import select_k
 from .projection import make_projector
 from .simulate import gen_calibrated, gen_design2
@@ -242,11 +242,3 @@ def run_monte_carlo(scenario: Scenario, n_jobs: int = 1) -> MonteCarloResult:
             }
         )
     return result
-
-
-def cell_mean(result: MonteCarloResult, p: int, T: int, method: str, metric: str) -> float:
-    """Look up one aggregated mean; raises if the cell is missing."""
-    for row in result.aggregate:
-        if (row["p"], row["T"], row["method"], row["metric"]) == (p, T, method, metric):
-            return row["mean"]
-    raise InputError(f"no aggregate cell for {(p, T, method, metric)}")

@@ -19,7 +19,7 @@ DEFAULT_RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Projector:
-    """Immutable factored representation of P and I - P."""
+    """Immutable factored representation of P."""
 
     q: np.ndarray
     rank: int
@@ -45,11 +45,6 @@ class Projector:
         """Apply P to the columns of M without forming P."""
         M = self._check(M)
         return self.q @ (self.q.T @ M)
-
-    def residual(self, M: np.ndarray) -> np.ndarray:
-        """Apply I - P to the columns of M."""
-        M = self._check(M)
-        return M - self.q @ (self.q.T @ M)
 
     def solve_sieve_coefficients(self, C: np.ndarray) -> np.ndarray:
         """Solve (Phi'Phi) B = Phi' C in the least-norm sense (B is m x k)."""

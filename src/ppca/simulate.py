@@ -204,29 +204,12 @@ def gen_design2(p: int, T: int, rng=None, seed: int | None = None) -> SimulatedP
     )
 
 
-@dataclass(frozen=True)
-class PolynomialCurves:
-    """Additive cubic loading curves, one polynomial per (factor, covariate).
-
-    ``coeffs`` has shape (K, d, 4) holding coefficients for
-    1, x, x^2, x^3 in that order.
-    """
-
-    coeffs: np.ndarray
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        K, d, _ = self.coeffs.shape
-        if x.shape[1] != d:
-            raise InvalidSpecError(f"curves expect d={d} covariates")
-        powers = np.stack([np.ones_like(x), x, x**2, x**3], axis=-1)
-        # sum over covariates and polynomial degrees
-        return np.einsum("nlj,klj->nk", powers, self.coeffs)
-
-
-def default_loading_curves() -> PolynomialCurves:
+def default_loading_curves() -> np.ndarray:
     """Bundled nonlinear curves standing in for the data-calibrated fits.
 
+    Returns the (K, d, 4) = (3, 4, 4) array of additive cubic coefficients:
+    entry [k, l, j] multiplies x_l**j in loading curve k, so g_k(x) is the
+    sum of coeffs[k, l, j] * x_l**j over covariates l and powers j = 0..3.
     The shapes (one near-linear, one U-shaped, one cubic S-shaped per
     covariate, at market-beta scale) emulate the qualitative look of the
     fitted real-data curves, which are not available as numbers.
@@ -256,7 +239,7 @@ def default_loading_curves() -> PolynomialCurves:
             ],
         ]
     )
-    return PolynomialCurves(coeffs=coeffs)
+    return coeffs
 
 
 def gen_calibrated(
@@ -277,11 +260,14 @@ def gen_calibrated(
     rng = np.random.default_rng(seed if rng is None else rng)
     if T < 2:
         raise InvalidSpecError("T must be >= 2")
-    d = params.sigma_x.shape[0]
+    coeffs = default_loading_curves()
+    K, d, _ = coeffs.shape
+    if params.sigma_x.shape[0] != d:
+        raise InvalidSpecError(f"loading curves expect d={d} covariates")
     chol_x = np.linalg.cholesky(params.sigma_x)
     x = rng.standard_normal((p, d)) @ chol_x.T
-    g = default_loading_curves().evaluate(x)
-    K = g.shape[1]
+    powers = np.stack([np.ones_like(x), x, x**2, x**3], axis=-1)
+    g = np.einsum("nlj,klj->nk", powers, coeffs)
     gamma = rng.normal(0.0, params.gamma_loading_sd, size=(p, K))
     cov = make_sparse_error_cov(p, params, rng)
     f = simulate_var(params.var, T, rng)

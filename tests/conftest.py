@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ppca.basis import BasisSpec, build_basis
-from ppca.estimator import PanelData, fix_signs
+from ppca.estimator import PanelData, align_columns, fit_projected_pca, fix_signs
 from ppca.projection import make_projector
 from ppca.simulate import gen_design2
 
@@ -31,3 +31,35 @@ def spectrum_case(request, rng):
     z = P.q.T @ data.y
     w, v = np.linalg.eigh(z.T @ z)
     return data, P, K, w[::-1], fix_signs(v[:, ::-1])
+
+
+@pytest.fixture
+def equivalence_error():
+    """Max gap between the fit's G_hat = P Y F_hat / T and Xi D^(1/2).
+
+    Xi and D are the top-K eigenpairs of the p x p matrix P Y Y' P / T from a
+    dense ``eigh``, a route independent of the SVD of Q'Y behind the fit.
+    """
+
+    def _error(data, P, K, fit=None):
+        if fit is None:
+            fit = fit_projected_pca(data, P, K)
+        py = P.project(data.y)
+        w, xi = np.linalg.eigh(py @ py.T / data.T)
+        cand = xi[:, ::-1][:, :K] * np.sqrt(np.maximum(w[::-1][:K], 0.0))
+        return align_columns(cand, fit.g_hat)[1]
+
+    return _error
+
+
+@pytest.fixture
+def cell_mean():
+    """Look up one aggregated Monte Carlo mean; a missing cell raises KeyError."""
+
+    def _mean(result, p, T, method, metric):
+        for row in result.aggregate:
+            if (row["p"], row["T"], row["method"], row["metric"]) == (p, T, method, metric):
+                return row["mean"]
+        raise KeyError((p, T, method, metric))
+
+    return _mean

@@ -13,7 +13,7 @@ import pytest
 
 import ppca
 from ppca.dataio import write_aggregate_csv, write_raw_errors_csv
-from ppca.montecarlo import Scenario, cell_mean, run_monte_carlo
+from ppca.montecarlo import Scenario, run_monte_carlo
 from ppca.simulate import FACTOR_VAR_A, VarProcess, simulate_var
 
 
@@ -54,7 +54,7 @@ def test_criterion_1_closed_form_oracle(report):
     assert ok
 
 
-def test_criterion_2_algebraic_invariants(report):
+def test_criterion_2_algebraic_invariants(report, equivalence_error):
     rng = np.random.default_rng(1)
     t0 = time.perf_counter()
     worst = {"idem": 0.0, "orth": 0.0, "annihil": 0.0, "split": 0.0,
@@ -87,7 +87,7 @@ def test_criterion_2_algebraic_invariants(report):
                 np.abs(fit.lambda_hat - (fit.g_hat + fit.gamma_hat)).max(),
             )
             worst["equiv"] = max(worst["equiv"],
-                                 ppca.verify_equivalence(data, P, K, fit=fit))
+                                 equivalence_error(data, P, K, fit=fit))
             r_mat = rng.standard_normal((basis.m, basis.m)) + 4 * np.eye(basis.m)
             fit2 = ppca.fit_projected_pca(
                 data, ppca.make_projector(basis.values @ r_mat), K
@@ -133,7 +133,7 @@ def test_criterion_3_exact_recovery(report):
     assert ok
 
 
-def test_criterion_4_factor_count_recovery(report):
+def test_criterion_4_factor_count_recovery(report, cell_mean):
     t0 = time.perf_counter()
     wide = run_monte_carlo(Scenario(
         p_grid=(300,), t_grid=(50,), methods=("select_k_projected",),
@@ -172,7 +172,7 @@ def convergence_study():
     return result, time.perf_counter() - t0
 
 
-def test_criterion_5_convergence_ordering(convergence_study, report):
+def test_criterion_5_convergence_ordering(convergence_study, report, cell_mean):
     result, elapsed = convergence_study
     ps = [50, 100, 200, 400]
     err_proj = [cell_mean(result, p, 10, "projected_pca", "factor_fro") for p in ps]
@@ -188,7 +188,7 @@ def test_criterion_5_convergence_ordering(convergence_study, report):
     assert ok
 
 
-def test_criterion_6_sieve_ls_comparison(convergence_study, report):
+def test_criterion_6_sieve_ls_comparison(convergence_study, report, cell_mean):
     result, _ = convergence_study
     g_proj = cell_mean(result, 400, 10, "projected_pca", "g_fro")
     g_sls = cell_mean(result, 400, 10, "sieve_ls_known_factors", "g_fro")

@@ -12,7 +12,8 @@ from ppca.basis import (
     eval_curves,
     standardize_covariates,
 )
-from ppca.exceptions import InvalidSpecError, OutOfRangeError, ZeroVarianceError
+from ppca.exceptions import InvalidSpecError, RankWarning, ZeroVarianceError
+from ppca.projection import make_projector
 
 
 class TestStandardize:
@@ -96,6 +97,14 @@ class TestBuildBasis:
         with pytest.raises(InvalidSpecError):
             BasisSpec(J=3)
 
+    def test_dead_column_warns(self):
+        # x^2 is constant on {-1, 1}, so its centered column is zero
+        x = np.repeat([-1.0, 1.0], 10)[:, None]
+        with pytest.warns(RankWarning):
+            basis = build_basis(x, BasisSpec(family="polynomial", J=2))
+        assert basis.m == 3
+        assert make_projector(basis).rank == 2
+
 
 class TestDefaultJ:
     def test_growth_rule_example(self):
@@ -133,14 +142,14 @@ class TestEvalCurves:
         recon = out.per_covariate.sum(axis=1) + out.intercept
         np.testing.assert_allclose(recon, out.total, atol=1e-12)
 
-    def test_strict_out_of_range(self, rng):
+    def test_out_of_range_clamped(self, rng):
         x = rng.standard_normal((40, 1))
         basis = build_basis(x, BasisSpec(J=5))
-        far = np.array([[x.max() + 10.0]])
-        with pytest.raises(OutOfRangeError):
-            eval_curves(np.zeros((basis.m, 1)), basis, far, strict=True)
-        # default clamps instead of raising
-        eval_curves(np.zeros((basis.m, 1)), basis, far)
+        b_hat = rng.standard_normal((basis.m, 2))
+        far = eval_curves(b_hat, basis, np.array([[x.max() + 10.0]]))
+        edge = eval_curves(b_hat, basis, np.array([[x.max()]]))
+        np.testing.assert_array_equal(far.total, edge.total)
+        np.testing.assert_array_equal(far.per_covariate, edge.per_covariate)
 
     def test_non_finite_points_rejected(self, rng):
         basis = build_basis(rng.standard_normal((40, 1)), BasisSpec(J=5))

@@ -284,6 +284,14 @@ def test_simulate_and_fit_load_no_scipy(tmp_path):
     assert [json.loads(line) for line in out.stdout.splitlines()] == [[]] * 4
 
 
+def test_public_namespace_resolves():
+    # a stale __all__ entry left by a deletion fails only at `from ppca import *`
+    assert len(set(ppca.__all__)) == len(ppca.__all__)
+    for name in ppca.__all__:
+        assert hasattr(ppca, name), name
+    exec("from ppca import *", {})
+
+
 def test_only_dataio_imports_json():
     # every file format lives in dataio; the numeric modules and the CLI pass dicts
     importers = set()

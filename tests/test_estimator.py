@@ -14,13 +14,13 @@ from ppca.estimator import (
     fit_regular_pca,
     fix_signs,
     identification_transform,
-    verify_equivalence,
 )
 from ppca.exceptions import (
     DimensionMismatchError,
     InvalidSpecError,
     KTooLargeError,
     NearTieWarning,
+    NonDistinctEigenvaluesWarning,
 )
 from ppca.projection import make_projector
 from ppca.simulate import gen_design2
@@ -252,21 +252,9 @@ class TestSignsAcrossSolvers:
 
 
 class TestVerifyEquivalence:
-    def test_random_instance(self, rng):
-        data = _random_panel(rng, 40, 12)
-        P = make_projector(build_basis(data.x, BasisSpec(J=5)))
-        assert verify_equivalence(data, P, 2) < 1e-8
-
-    def test_constant_basis_instance(self, rng):
-        data = _random_panel(rng, 30, 10)
-        P = make_projector(np.ones((30, 1)))
-        assert verify_equivalence(data, P, 1) < 1e-10
-
-    def test_design2_instance(self):
-        panel = gen_design2(100, 50, seed=3)
-        basis = build_basis(panel.data.x, BasisSpec(J=8))
-        P = make_projector(basis)
-        assert verify_equivalence(panel.data, P, 3) < 1e-8
+    def test_dual_and_primal_loadings_agree(self, spectrum_case, equivalence_error):
+        data, P, K, _, _ = spectrum_case
+        assert equivalence_error(data, P, K) < (1e-10 if P.rank == 1 else 1e-8)
 
 
 class TestSigmaU:
@@ -328,6 +316,14 @@ class TestIdentification:
         assert np.all(np.diff(np.diag(gtg)) < 0)
         # the transform preserves the common component
         np.testing.assert_allclose(g0 @ f0.T, g @ f.T, atol=1e-8)
+
+    def test_tied_loadings_warn(self, rng):
+        # F'F/T = I and G'G = I: every eigenvalue of the whitened G'G is 1
+        T, K = 40, 3
+        f = np.linalg.qr(rng.standard_normal((T, K)))[0] * np.sqrt(T)
+        g = np.linalg.qr(rng.standard_normal((30, K)))[0]
+        with pytest.warns(NonDistinctEigenvaluesWarning):
+            identification_transform(f, g)
 
     def test_scalar_case(self, rng):
         f = rng.standard_normal((25, 1))

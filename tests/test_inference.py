@@ -8,7 +8,7 @@ import pytest
 
 from ppca.basis import BasisSpec, build_basis
 from ppca.estimator import PanelData, estimate_sigma_u, fit_projected_pca
-from ppca.exceptions import BoundaryWarning, NearTieWarning, RangeEmptyError
+from ppca.exceptions import BoundaryWarning, InvalidSpecError, NearTieWarning, RangeEmptyError
 from ppca import inference
 from ppca.inference import select_k
 from ppca.projection import make_projector
@@ -148,6 +148,18 @@ class TestGammaZero:
         panel, _, P = design2_setup
         assert inference.test_gamma_zero(panel.data, P, 3).statistic >= 0.0
         assert inference.test_g_zero(panel.data, P, 3).statistic >= 0.0
+
+    @pytest.mark.parametrize("sigma_u", [
+        lambda p: np.ones(1),  # would broadcast over all p rows
+        lambda p: np.zeros(p),  # would give inf
+        lambda p: -np.ones(p),  # would give a negative statistic
+        lambda p: np.ones(p - 1),
+    ], ids=["length_1", "zeros", "negative", "length_p_minus_1"])
+    def test_sigma_u_override_validated(self, sigma_u):
+        data = gen_design2(100, 30, seed=0).data
+        P = make_projector(build_basis(data.x, BasisSpec(J=8)))
+        with pytest.raises(InvalidSpecError):
+            inference.test_gamma_zero(data, P, 3, sigma_u=sigma_u(data.p))
 
 
 class TestPeakMemory:

@@ -6,7 +6,6 @@ from ppca.exceptions import InvalidSpecError
 from ppca.montecarlo import (
     MonteCarloResult,
     Scenario,
-    cell_mean,
     run_monte_carlo,
     run_replication,
     sieve_dimension,
@@ -113,14 +112,14 @@ class TestRunMonteCarlo:
         res = run_monte_carlo(replace(SMALL, p_grid=(3,), n_reps=1))
         assert [(f["p"], f["type"]) for f in res.failures] == [(3, "InvalidSpecError")]
 
-    def test_cell_mean_lookup(self):
+    def test_cell_mean_lookup(self, cell_mean):
         res = run_monte_carlo(SMALL, n_jobs=1)
         val = cell_mean(res, 40, 10, "projected_pca", "factor_fro")
         assert val > 0
-        with pytest.raises(Exception):
+        with pytest.raises(KeyError):
             cell_mean(res, 999, 10, "projected_pca", "factor_fro")
 
-    def test_mean_matches_raw(self):
+    def test_mean_matches_raw(self, cell_mean):
         res = run_monte_carlo(SMALL, n_jobs=1)
         vals = [
             r["metrics"][("projected_pca", "factor_fro")]

@@ -168,6 +168,8 @@ class TestGenCalibrated:
         np.testing.assert_allclose(gtg, np.diag(np.diag(gtg)), atol=1e-10)
 
     def test_default_curves_shape(self):
-        curves = default_loading_curves()
-        out = curves.evaluate(np.zeros((7, 4)))
-        assert out.shape == (7, 3)
+        assert default_loading_curves().shape == (3, 4, 4)
+
+    def test_covariate_count_must_match_curves(self):
+        with pytest.raises(InvalidSpecError):
+            gen_calibrated(50, 10, params=CalibratedParams(sigma_x=np.eye(3)), seed=0)

@@ -34,6 +34,7 @@ FACTOR_VAR_A = np.array(
 )
 
 BURN_IN = 100  # VAR draws discarded before the T kept ones
+ERROR_BAND = 5  # sub-diagonals of the calibrated noise's lower-banded factor
 
 # Covariate correlation matrix for the calibrated design.  The source
 # data's 4x4 correlation matrix is not published; these are plausible
@@ -107,6 +108,11 @@ class CalibratedParams:
             raise InvalidSpecError("correlation threshold must be in (0, 1)")
         if self.offdiag_sd < 0 or self.gamma_loading_sd < 0:
             raise InvalidSpecError("standard deviations must be nonnegative")
+        sx = np.asarray(self.sigma_x, dtype=float)
+        object.__setattr__(self, "sigma_x", sx)
+        if not (sx.ndim == 2 and sx.shape == sx.T.shape and np.isfinite(sx).all()
+                and np.allclose(sx, sx.T) and np.linalg.eigvalsh(sx)[0] > 0):
+            raise InvalidSpecError("sigma_x must be finite, symmetric and positive definite")
 
 
 @dataclass(frozen=True)
@@ -136,38 +142,27 @@ def simulate_var(proc: VarProcess, T: int, rng) -> np.ndarray:
     return out[BURN_IN:]
 
 
-def nearest_pd(M: np.ndarray, floor: float = 1e-8) -> np.ndarray:
-    """Nearest positive definite matrix by eigenvalue clipping."""
-    M = np.asarray(M, dtype=float)
-    sym = (M + M.T) / 2.0
-    w, v = np.linalg.eigh(sym)
-    if w[0] >= floor:
-        return sym
-    w = np.maximum(w, floor)
-    out = (v * w) @ v.T
-    return (out + out.T) / 2.0
-
-
 def make_sparse_error_cov(p: int, params: CalibratedParams, rng) -> np.ndarray:
-    """Sparse cross-sectional error covariance D Sigma_0 D.
+    """Band of the lower-triangular factor L of a sparse Sigma_u = L L'.
 
-    The diagonal scale D is Gamma-distributed, the off-diagonal
-    correlations are Gaussian draws truncated to zero below the
-    threshold, and the thresholded correlation matrix is pushed to
-    positive definiteness by eigenvalue clipping.
+    L = D N C.  C is unit lower-triangular with ``ERROR_BAND`` sub-diagonals
+    of Gaussian draws, zeroed below the threshold in absolute value.  N scales
+    C's rows to unit length and D holds the Gamma standard deviations.  So
+    Sigma_u = D Sigma_0 D with Sigma_0 = N C C' N a positive definite
+    correlation matrix whose entries are products of the thresholded draws,
+    var(u_i) = d_i^2 at every p, and each row of Sigma_u has at most
+    2 * ERROR_BAND + 1 nonzeros.  Returns the (p, ERROR_BAND + 1) band
+    B[i, k] = L[i, i - k].
     """
     rng = np.random.default_rng(rng)
     if p < 2:
         raise InvalidSpecError("p must be >= 2")
     d = rng.gamma(shape=params.gamma_shape, scale=1.0 / params.gamma_rate, size=p)
-    corr = np.eye(p)
-    iu = np.triu_indices(p, 1)
-    vals = rng.normal(params.offdiag_mean, params.offdiag_sd, size=iu[0].size)
-    vals[np.abs(vals) < params.corr_threshold] = 0.0
-    corr[iu] = vals
-    corr = corr + corr.T - np.eye(p)
-    corr = nearest_pd(corr, floor=1e-8)
-    return corr * np.outer(d, d)
+    off = rng.normal(params.offdiag_mean, params.offdiag_sd, size=(p, ERROR_BAND))
+    off[np.abs(off) < params.corr_threshold] = 0.0
+    off[np.arange(p)[:, None] <= np.arange(ERROR_BAND)] = 0.0  # before column 0
+    band = np.column_stack([np.ones(p), off])
+    return band * (d / np.linalg.norm(band, axis=1))[:, None]
 
 
 def design2_curves(x: np.ndarray) -> np.ndarray:
@@ -251,9 +246,10 @@ def gen_calibrated(
 ) -> SimulatedPanel:
     """Data-calibrated design: four correlated covariates, sparse noise.
 
-    Loadings follow :func:`default_loading_curves`.  Truths are identified and
-    the unexplained loadings Gamma are transformed consistently so that
-    Y = (G0 + Gamma0) F0' + U holds exactly.
+    Loadings follow :func:`default_loading_curves`.  The noise u = L z, with
+    L banded from :func:`make_sparse_error_cov`, costs O(p * ERROR_BAND * T).
+    Truths are identified and the unexplained loadings Gamma are transformed
+    consistently so that Y = (G0 + Gamma0) F0' + U holds exactly.
     """
     if params is None:
         params = CalibratedParams()
@@ -269,13 +265,16 @@ def gen_calibrated(
     powers = np.stack([np.ones_like(x), x, x**2, x**3], axis=-1)
     g = np.einsum("nlj,klj->nk", powers, coeffs)
     gamma = rng.normal(0.0, params.gamma_loading_sd, size=(p, K))
-    cov = make_sparse_error_cov(p, params, rng)
+    band = make_sparse_error_cov(p, params, rng)
     f = simulate_var(params.var, T, rng)
     if f.shape[1] != K:
         raise InvalidSpecError(
             f"VAR dimension {f.shape[1]} != number of loading curves {K}"
         )
-    u = np.linalg.cholesky(cov) @ rng.standard_normal((p, T))
+    z = rng.standard_normal((p, T))
+    u = band[:, :1] * z
+    for k in range(1, band.shape[1]):
+        u[k:] += band[k:, k : k + 1] * z[:-k]
     f0, g0, h = identification_transform(f, g)
     gamma0 = gamma @ np.linalg.inv(h.T)
     y = (g0 + gamma0) @ f0.T + u

@@ -63,3 +63,14 @@ def cell_mean():
         raise KeyError((p, T, method, metric))
 
     return _mean
+
+
+@pytest.fixture
+def banded_cov():
+    """Sigma_u = L L' from the (p, s + 1) band B[i, k] = L[i, i - k]."""
+
+    def _expand(band):
+        L = sum(np.diag(band[k:, k], -k) for k in range(band.shape[1]))
+        return L @ L.T
+
+    return _expand

@@ -4,7 +4,6 @@ import pytest
 
 from ppca.exceptions import InvalidSpecError
 from ppca.montecarlo import (
-    MonteCarloResult,
     Scenario,
     run_monte_carlo,
     run_replication,

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ppca import simulate
 from ppca.exceptions import InvalidSpecError, NonStationaryError
 from ppca.simulate import (
-    FACTOR_VAR_A,
+    ERROR_BAND,
     FACTOR_VAR_SIGMA,
     CalibratedParams,
     VarProcess,
@@ -13,9 +14,23 @@ from ppca.simulate import (
     gen_calibrated,
     gen_design2,
     make_sparse_error_cov,
-    nearest_pd,
     simulate_var,
 )
+
+
+@pytest.fixture
+def error_cov_calls(monkeypatch):
+    """(args, kwargs, result) of each call gen_calibrated makes to the module's
+    make_sparse_error_cov."""
+    calls = []
+    real = simulate.make_sparse_error_cov
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs, real(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(simulate, "make_sparse_error_cov", recorder)
+    return calls
 
 
 class TestVarProcess:
@@ -46,43 +61,15 @@ class TestVarProcess:
             VarProcess(a=np.zeros((2, 2)), sigma_eps=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-class TestNearestPd:
-    def test_pd_input_unchanged(self, rng):
-        a = rng.standard_normal((5, 5))
-        m = a @ a.T + 5 * np.eye(5)
-        np.testing.assert_allclose(nearest_pd(m), m, atol=1e-12)
-
-    def test_diagonal_clipping(self):
-        out = nearest_pd(np.diag([1.0, -0.1]), floor=1e-8)
-        np.testing.assert_allclose(out, np.diag([1.0, 1e-8]), atol=1e-12)
-
-    def test_matches_clip_reconstruct_oracle(self, rng):
-        a = rng.standard_normal((5, 5))
-        m = (a + a.T) / 2
-        w, v = np.linalg.eigh(m)
-        oracle = v @ np.diag(np.maximum(w, 1e-8)) @ v.T
-        np.testing.assert_allclose(nearest_pd(m, 1e-8), oracle, atol=1e-10)
-
-    @pytest.mark.parametrize("p", [50, 200])
-    def test_bit_identical_to_diagonal_product(self, rng, p):
-        # scaling the columns of v equals the product with diag(w) exactly
-        a = rng.standard_normal((p, p))
-        m = (a + a.T) / 2
-        w, v = np.linalg.eigh(m)
-        out = v @ np.diag(np.maximum(w, 1e-8)) @ v.T
-        assert w[0] < 0
-        assert np.array_equal(nearest_pd(m, 1e-8), (out + out.T) / 2.0)
-
-
 class TestSparseErrorCov:
-    def test_full_truncation_gives_diagonal(self, rng):
+    def test_full_truncation_gives_diagonal(self, rng, banded_cov):
         params = CalibratedParams(corr_threshold=0.999999)
-        cov = make_sparse_error_cov(50, params, rng)
+        cov = banded_cov(make_sparse_error_cov(50, params, rng))
         off = cov - np.diag(np.diag(cov))
         assert np.abs(off).max() < 1e-6 * np.abs(np.diag(cov)).max()
 
-    def test_symmetric_positive_definite(self, rng):
-        cov = make_sparse_error_cov(60, CalibratedParams(), rng)
+    def test_symmetric_positive_definite(self, rng, banded_cov):
+        cov = banded_cov(make_sparse_error_cov(60, CalibratedParams(), rng))
         np.testing.assert_allclose(cov, cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(cov)[0] > 0
 
@@ -94,17 +81,36 @@ class TestSparseErrorCov:
         ) + stats.norm.cdf(
             -params.corr_threshold, loc=params.offdiag_mean, scale=params.offdiag_sd
         )
+        p = 100
+        # band entry [i, k] exists in L only for k <= i
+        exists = np.arange(p)[:, None] >= np.arange(1, ERROR_BAND + 1)
         fractions = []
         for seed in range(5):
-            rng = np.random.default_rng(seed)
-            p = 100
-            d = rng.gamma(params.gamma_shape, 1 / params.gamma_rate, size=p)
-            vals = rng.normal(
-                params.offdiag_mean, params.offdiag_sd, size=p * (p - 1) // 2
-            )
-            fractions.append(np.mean(np.abs(vals) >= params.corr_threshold))
+            band = make_sparse_error_cov(p, params, np.random.default_rng(seed))
+            fractions.append(np.mean(band[:, 1:][exists] != 0.0))
         assert abs(np.mean(fractions) - expected) < 0.05
         assert expected == pytest.approx(0.84, abs=0.01)
+
+    @pytest.mark.parametrize("p", [50, 2000])
+    def test_unit_correlation_diagonal_and_variance_free_of_p(self, p):
+        # d is the generator's first draw; var(u_i) = d_i^2 makes Sigma_0's
+        # diagonal exactly one, at every p
+        params = CalibratedParams()
+        d = np.random.default_rng(7).gamma(
+            params.gamma_shape, 1.0 / params.gamma_rate, size=p
+        )
+        band = make_sparse_error_cov(p, params, np.random.default_rng(7))
+        var_u = np.sum(band**2, axis=1)  # the diagonal of L L'
+        np.testing.assert_allclose(var_u / d**2, 1.0, rtol=1e-12)
+
+    def test_rows_have_at_most_2s_plus_1_nonzeros(self, banded_cov):
+        p = 200
+        cov = banded_cov(make_sparse_error_cov(p, CalibratedParams(), np.random.default_rng(2)))
+        assert np.count_nonzero(cov, axis=1).max() <= 2 * ERROR_BAND + 1
+        lag = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+        assert np.all(cov[lag > ERROR_BAND] == 0.0)
+        # the band is not empty: the lag-1 covariance is mostly nonzero
+        assert np.mean(np.diag(cov, -1) != 0.0) > 0.5
 
 
 class TestGenDesign2:
@@ -173,3 +179,29 @@ class TestGenCalibrated:
     def test_covariate_count_must_match_curves(self):
         with pytest.raises(InvalidSpecError):
             gen_calibrated(50, 10, params=CalibratedParams(sigma_x=np.eye(3)), seed=0)
+
+    @pytest.mark.parametrize(
+        "sigma_x",
+        [np.diag([1, 1, 1, -1.0]), np.ones((4, 4)), np.full((4, 4), np.nan)],
+        ids=["indefinite", "singular", "nan"],
+    )
+    def test_bad_sigma_x_rejected(self, sigma_x):
+        with pytest.raises(InvalidSpecError):
+            gen_calibrated(30, 5, CalibratedParams(sigma_x=sigma_x), seed=0)
+
+    def test_noise_covariance_matches_banded_factor(self, banded_cov, error_cov_calls):
+        # u = Y - (G0 + Gamma0) F0' over a long T; a row product shifted by
+        # one lag, or taken from the wrong row, moves the correlations
+        panel = gen_calibrated(30, 40_000, seed=11)
+        u = panel.data.y - (panel.g_true + panel.gamma_true) @ panel.f_true.T
+        cov = banded_cov(error_cov_calls[0][2])
+        sd = np.sqrt(np.diag(cov))
+        np.testing.assert_allclose(np.cov(u) / np.outer(sd, sd), cov / np.outer(sd, sd),
+                                   atol=0.04)
+
+    def test_error_cov_called_once_with_positional_p(self, error_cov_calls):
+        # the benchmark times make_sparse_error_cov through this module
+        # attribute and reads p from its first positional argument
+        gen_calibrated(40, 6, seed=1)
+        assert len(error_cov_calls) == 1
+        assert error_cov_calls[0][0][0] == 40

@@ -22,7 +22,6 @@ from .inference import SelectionResult, TestResult, select_k, test_g_zero, test_
 from .montecarlo import MonteCarloResult, Scenario, run_monte_carlo
 from .projection import Projector, make_projector
 from .simulate import (
-    CalibratedParams,
     SimulatedPanel,
     default_loading_curves,
     gen_calibrated,
@@ -34,7 +33,6 @@ from .simulate import (
 __all__ = [
     "BasisMatrix",
     "BasisSpec",
-    "CalibratedParams",
     "FitResult",
     "MonteCarloResult",
     "PanelData",

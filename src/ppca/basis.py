@@ -144,8 +144,8 @@ def default_J(p: int, T: int, C: float = 3.0, kappa: float = 4.0) -> int:
     """
     if p < 1 or T < 1:
         raise InvalidSpecError("p and T must be positive")
-    if C <= 0 or kappa < 4:
-        raise InvalidSpecError("need C > 0 and kappa >= 4")
+    if not (math.isfinite(C) and C > 0 and math.isfinite(kappa) and kappa >= 4):
+        raise InvalidSpecError(f"need finite C > 0 and kappa >= 4, got C={C}, kappa={kappa}")
     J = math.floor(C * (p * min(T, p)) ** (1.0 / kappa))
     return max(J, 4)
 

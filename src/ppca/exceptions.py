@@ -36,10 +36,6 @@ class KTooLargeError(InputError):
     pass
 
 
-class NonStationaryError(InputError):
-    pass
-
-
 class RangeEmptyError(InputError):
     pass
 

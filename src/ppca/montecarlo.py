@@ -61,6 +61,7 @@ class Scenario:
             raise InvalidSpecError(f"K must be >= 1, got {self.k}")
         if self.n_reps < 1:
             raise InvalidSpecError("n_reps must be >= 1")
+        default_J(1, 1, C=self.j_c, kappa=self.j_kappa)  # checks the J_rule once, up front
         if not self.p_grid or not self.t_grid:
             raise InvalidSpecError("p_grid and t_grid must be nonempty")
         object.__setattr__(self, "p_grid", tuple(int(p) for p in self.p_grid))

@@ -14,7 +14,7 @@ import pytest
 import ppca
 from ppca.dataio import write_aggregate_csv, write_raw_errors_csv
 from ppca.montecarlo import Scenario, run_monte_carlo
-from ppca.simulate import FACTOR_VAR_A, VarProcess, simulate_var
+from ppca.simulate import FACTOR_VAR_A, simulate_var
 
 
 @pytest.fixture
@@ -203,9 +203,7 @@ def _gen_h1_null(p, T, rng):
     """Loadings independent of the covariates (covariates explain nothing)."""
     x = rng.standard_normal((p, 1))
     lam = rng.standard_normal((p, 3))
-    f = simulate_var(
-        VarProcess(a=FACTOR_VAR_A, sigma_eps=np.eye(3)), T, rng
-    )
+    f = simulate_var(FACTOR_VAR_A, np.eye(3), T, rng)
     u = rng.standard_normal((p, T))
     return ppca.PanelData(y=lam @ f.T + u, x=x)
 

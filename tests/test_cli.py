@@ -244,6 +244,18 @@ class TestBenchmark:
             assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("rule", [{"C": -1}, {"C": float("nan")}, {"kappa": 3}],
+                             ids=["C=-1", "C=nan", "kappa=3"])
+    def test_bad_j_rule_exits_2_without_output(self, tmp_path, capsys, rule):
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps({"design": "design2", "p_grid": [40], "T_grid": [10],
+                                    "n_reps": 2, "J_rule": rule}))
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 def test_cli_import_skips_scipy_stats():
     # a fresh interpreter that imports the same ppca as this test run
     src = str(Path(ppca.__file__).parents[1])

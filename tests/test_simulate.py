@@ -3,14 +3,19 @@ import pytest
 from scipy import stats
 
 from ppca import simulate
-from ppca.exceptions import InvalidSpecError, NonStationaryError
+from ppca.exceptions import InvalidSpecError
 from ppca.simulate import (
+    CORR_THRESHOLD,
+    DEFAULT_SIGMA_X,
     ERROR_BAND,
+    FACTOR_VAR_A,
     FACTOR_VAR_SIGMA,
-    CalibratedParams,
-    VarProcess,
+    GAMMA_LOADING_SD,
+    GAMMA_RATE,
+    GAMMA_SHAPE,
+    OFFDIAG_MEAN,
+    OFFDIAG_SD,
     default_loading_curves,
-    default_var_process,
     gen_calibrated,
     gen_design2,
     make_sparse_error_cov,
@@ -35,58 +40,47 @@ def error_cov_calls(monkeypatch):
 
 class TestVarProcess:
     def test_white_noise_case(self):
-        proc = VarProcess(a=np.zeros((2, 2)), sigma_eps=np.eye(2))
-        draws = simulate_var(proc, 20_000, np.random.default_rng(0))
+        draws = simulate_var(np.zeros((2, 2)), np.eye(2), 20_000, np.random.default_rng(0))
         cov = np.cov(draws.T)
         np.testing.assert_allclose(cov, np.eye(2), atol=0.05)
 
     def test_ar1_stationary_variance(self):
-        proc = VarProcess(a=np.array([[0.5]]), sigma_eps=np.array([[1.0]]))
-        draws = simulate_var(proc, 100_000, np.random.default_rng(1))
+        draws = simulate_var(np.array([[0.5]]), np.array([[1.0]]), 100_000,
+                             np.random.default_rng(1))
         assert draws.var() == pytest.approx(4.0 / 3.0, rel=0.05)
 
     def test_calibrated_parameters_stationary(self):
-        proc = default_var_process()
-        assert proc.spectral_radius() < 1.0
-        np.testing.assert_array_equal(proc.sigma_eps, FACTOR_VAR_SIGMA)
-        assert proc.sigma_eps[0, 0] == 0.9076
-        assert proc.a[0, 0] == -0.0371
-
-    def test_nonstationary_rejected(self):
-        with pytest.raises(NonStationaryError):
-            VarProcess(a=np.array([[1.01]]), sigma_eps=np.array([[1.0]]))
-
-    def test_non_pd_innovations_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            VarProcess(a=np.zeros((2, 2)), sigma_eps=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # the transition both designs use is stationary, and both covariances
+        # the calibrated design factors are symmetric positive definite
+        assert np.abs(np.linalg.eigvals(FACTOR_VAR_A)).max() < 1.0
+        for cov in (FACTOR_VAR_SIGMA, DEFAULT_SIGMA_X):
+            np.testing.assert_array_equal(cov, cov.T)
+            assert np.linalg.eigvalsh(cov)[0] > 0
 
 
 class TestSparseErrorCov:
-    def test_full_truncation_gives_diagonal(self, rng, banded_cov):
-        params = CalibratedParams(corr_threshold=0.999999)
-        cov = banded_cov(make_sparse_error_cov(50, params, rng))
+    def test_full_truncation_gives_diagonal(self, rng, banded_cov, monkeypatch):
+        monkeypatch.setattr(simulate, "CORR_THRESHOLD", 0.999999)
+        cov = banded_cov(make_sparse_error_cov(50, rng))
         off = cov - np.diag(np.diag(cov))
         assert np.abs(off).max() < 1e-6 * np.abs(np.diag(cov)).max()
 
     def test_symmetric_positive_definite(self, rng, banded_cov):
-        cov = banded_cov(make_sparse_error_cov(60, CalibratedParams(), rng))
+        cov = banded_cov(make_sparse_error_cov(60, rng))
         np.testing.assert_allclose(cov, cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(cov)[0] > 0
 
     def test_offdiagonal_survival_fraction(self):
         # P(|N(mu, sd^2)| >= threshold) with the calibrated constants
-        params = CalibratedParams()
         expected = stats.norm.sf(
-            params.corr_threshold, loc=params.offdiag_mean, scale=params.offdiag_sd
-        ) + stats.norm.cdf(
-            -params.corr_threshold, loc=params.offdiag_mean, scale=params.offdiag_sd
-        )
+            CORR_THRESHOLD, loc=OFFDIAG_MEAN, scale=OFFDIAG_SD
+        ) + stats.norm.cdf(-CORR_THRESHOLD, loc=OFFDIAG_MEAN, scale=OFFDIAG_SD)
         p = 100
         # band entry [i, k] exists in L only for k <= i
         exists = np.arange(p)[:, None] >= np.arange(1, ERROR_BAND + 1)
         fractions = []
         for seed in range(5):
-            band = make_sparse_error_cov(p, params, np.random.default_rng(seed))
+            band = make_sparse_error_cov(p, np.random.default_rng(seed))
             fractions.append(np.mean(band[:, 1:][exists] != 0.0))
         assert abs(np.mean(fractions) - expected) < 0.05
         assert expected == pytest.approx(0.84, abs=0.01)
@@ -95,17 +89,14 @@ class TestSparseErrorCov:
     def test_unit_correlation_diagonal_and_variance_free_of_p(self, p):
         # d is the generator's first draw; var(u_i) = d_i^2 makes Sigma_0's
         # diagonal exactly one, at every p
-        params = CalibratedParams()
-        d = np.random.default_rng(7).gamma(
-            params.gamma_shape, 1.0 / params.gamma_rate, size=p
-        )
-        band = make_sparse_error_cov(p, params, np.random.default_rng(7))
+        d = np.random.default_rng(7).gamma(GAMMA_SHAPE, 1.0 / GAMMA_RATE, size=p)
+        band = make_sparse_error_cov(p, np.random.default_rng(7))
         var_u = np.sum(band**2, axis=1)  # the diagonal of L L'
         np.testing.assert_allclose(var_u / d**2, 1.0, rtol=1e-12)
 
     def test_rows_have_at_most_2s_plus_1_nonzeros(self, banded_cov):
         p = 200
-        cov = banded_cov(make_sparse_error_cov(p, CalibratedParams(), np.random.default_rng(2)))
+        cov = banded_cov(make_sparse_error_cov(p, np.random.default_rng(2)))
         assert np.count_nonzero(cov, axis=1).max() <= 2 * ERROR_BAND + 1
         lag = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
         assert np.all(cov[lag > ERROR_BAND] == 0.0)
@@ -147,17 +138,17 @@ class TestGenDesign2:
 
 
 class TestGenCalibrated:
-    def test_degenerate_gamma(self):
-        params = CalibratedParams(gamma_loading_sd=0.0)
-        panel = gen_calibrated(50, 10, params=params, seed=4)
+    def test_degenerate_gamma(self, monkeypatch):
+        monkeypatch.setattr(simulate, "GAMMA_LOADING_SD", 0.0)
+        panel = gen_calibrated(50, 10, seed=4)
         np.testing.assert_allclose(panel.gamma_true, 0.0, atol=1e-15)
 
     def test_table_values_in_config(self):
-        params = CalibratedParams()
-        assert params.var.sigma_eps[0, 0] == 0.9076
-        assert params.var.a[0, 0] == -0.0371
-        assert params.gamma_shape == 7.06
-        assert params.gamma_rate == 536.93
+        assert FACTOR_VAR_SIGMA[0, 0] == 0.9076
+        assert FACTOR_VAR_A[0, 0] == -0.0371
+        assert (GAMMA_SHAPE, GAMMA_RATE) == (7.06, 536.93)
+        assert (OFFDIAG_MEAN, OFFDIAG_SD, CORR_THRESHOLD) == (-0.0019, 0.1499, 0.03)
+        assert GAMMA_LOADING_SD == 0.0027
 
     def test_deterministic(self):
         a = gen_calibrated(30, 8, seed=5)
@@ -175,19 +166,6 @@ class TestGenCalibrated:
 
     def test_default_curves_shape(self):
         assert default_loading_curves().shape == (3, 4, 4)
-
-    def test_covariate_count_must_match_curves(self):
-        with pytest.raises(InvalidSpecError):
-            gen_calibrated(50, 10, params=CalibratedParams(sigma_x=np.eye(3)), seed=0)
-
-    @pytest.mark.parametrize(
-        "sigma_x",
-        [np.diag([1, 1, 1, -1.0]), np.ones((4, 4)), np.full((4, 4), np.nan)],
-        ids=["indefinite", "singular", "nan"],
-    )
-    def test_bad_sigma_x_rejected(self, sigma_x):
-        with pytest.raises(InvalidSpecError):
-            gen_calibrated(30, 5, CalibratedParams(sigma_x=sigma_x), seed=0)
 
     def test_noise_covariance_matches_banded_factor(self, banded_cov, error_cov_calls):
         # u = Y - (G0 + Gamma0) F0' over a long T; a row product shifted by

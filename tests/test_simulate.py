@@ -50,8 +50,8 @@ class TestVarProcess:
         assert draws.var() == pytest.approx(4.0 / 3.0, rel=0.05)
 
     def test_calibrated_parameters_stationary(self):
-        # the transition both designs use is stationary, and both covariances
-        # the calibrated design factors are symmetric positive definite
+        # the transition both designs use is stationary, and the covariances the
+        # calibrated design takes Cholesky factors of are symmetric positive definite
         assert np.abs(np.linalg.eigvals(FACTOR_VAR_A)).max() < 1.0
         for cov in (FACTOR_VAR_SIGMA, DEFAULT_SIGMA_X):
             np.testing.assert_array_equal(cov, cov.T)

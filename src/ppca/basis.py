@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import config_int
 from .exceptions import (
     InvalidSpecError,
     RankWarning,
@@ -72,8 +73,8 @@ class BasisSpec:
         unknown = set(obj) - {"family", "J", "knot_rule", "intercept", "standardize"}
         if unknown:
             raise InvalidSpecError(f"unknown basis spec keys: {sorted(unknown)}")
-        if "J" in obj and (isinstance(obj["J"], bool) or not isinstance(obj["J"], int)):
-            raise InvalidSpecError("J must be an integer")
+        if "J" in obj:
+            config_int("J", obj["J"], 1)
         kwargs = {key: obj[key] for key in ("family", "J", "knot_rule") if key in obj}
         for key, name in (("intercept", "include_intercept"), ("standardize", "standardize")):
             if key in obj:

@@ -1,14 +1,12 @@
 """Command-line interface: fit, test, simulate, benchmark.
 
 Exit codes: 0 on success, 2 for malformed input or configuration, 3 for
-numerical failure.  The environment variable ``PPCA_SEED`` overrides any
-seed found in a scenario config.
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -16,6 +14,7 @@ import numpy as np
 
 from .basis import BasisSpec, build_basis, eval_curves
 from .dataio import (
+    config_int,
     read_json_object,
     read_matrix,
     write_aggregate_csv,
@@ -30,19 +29,9 @@ from .exceptions import InputError, NumericalError, PpcaError
 from .inference import select_k, test_g_zero, test_gamma_zero
 from .montecarlo import Scenario, run_monte_carlo
 from .projection import make_projector
-from .simulate import gen_calibrated, gen_design2
+from .simulate import gen_design
 
 CURVE_GRID_POINTS = 200
-
-
-def _env_seed(default):
-    raw = os.environ.get("PPCA_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"PPCA_SEED must be an integer, got {raw!r}") from exc
 
 
 def _load_model(args):
@@ -140,18 +129,11 @@ def cmd_simulate(args) -> int:
     if unknown:
         raise InputError(f"unknown simulate config keys: {sorted(unknown)}")
     try:
-        p, T, seed = int(cfg["p"]), int(cfg["T"]), int(cfg.get("seed", 0))
+        p, T = config_int("p", cfg["p"], 1), config_int("T", cfg["T"], 1)
     except KeyError as exc:
         raise InputError(f"simulate config missing key: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{args.scenario}: p, T and seed must be integers: {exc}") from exc
-    seed = _env_seed(seed)
-    if design == "design2":
-        panel = gen_design2(p, T, seed=seed)
-    elif design == "calibrated":
-        panel = gen_calibrated(p, T, seed=seed)
-    else:
-        raise InputError(f"unknown design {design!r}")
+    seed = config_int("seed", cfg.get("seed", 0), 0)
+    panel = gen_design(design, p, T, np.random.default_rng(seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix(out / "Y.csv", panel.data.y)
@@ -174,11 +156,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = read_json_object(args.scenario)
-    scenario = Scenario.from_dict(cfg)
-    seed = _env_seed(scenario.seed)
-    if seed != scenario.seed:
-        scenario = Scenario.from_dict({**cfg, "seed": seed})
+    scenario = Scenario.from_dict(read_json_object(args.scenario))
     result = run_monte_carlo(scenario, n_jobs=max(1, args.threads))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,15 +8,15 @@ what makes the reproducibility guarantees of the CLI checkable.
 from __future__ import annotations
 
 import datetime
-import hashlib
 import json
+import numbers
 import re
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .exceptions import InputError
+from .exceptions import InputError, InvalidSpecError
 
 
 def _fmt(v: float) -> str:
@@ -84,11 +84,22 @@ def read_json_object(path) -> dict:
     return obj
 
 
+def config_int(name: str, value, low: int) -> int:
+    """A config value that must be an integer >= ``low``: a bool, float or string raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidSpecError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
 def sha256_file(path) -> str:
+    import hashlib  # ~5 ms of OpenSSL; ``import ppca`` reaches this module for ``config_int``
+
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
     return h.hexdigest()

@@ -217,17 +217,22 @@ def estimate_sigma_u(y: np.ndarray, f_hat: Optional[np.ndarray]) -> np.ndarray:
     Requires F'F/T = I, as every fit returns (``InvalidSpecError`` beyond
     1e-8).  Then the diagonal is ||y_i||^2 / T - ||lambda_i||^2 with
     Lambda = Y F / T, two row sums that never form the p x T residual.
-    With no factors the variances reduce to row second moments.  Entries
-    are floored at ``SIGMA_FLOOR_REL`` times the largest variance so the
-    inverse stays finite on exact-fit rows.
+    With no factors the variances reduce to row second moments.
     """
     y = np.asarray(y, dtype=float)
-    T = y.shape[1]
-    variances = np.einsum("it,it->i", y, y) / T
+    T, lam = y.shape[1], None
     if f_hat is not None and f_hat.size:
         if np.abs(f_hat.T @ f_hat / T - np.eye(f_hat.shape[1])).max() > 1e-8:
             raise InvalidSpecError("f_hat must satisfy F'F/T = I")
         lam = y @ f_hat / T
+    return _residual_variances(y, lam)
+
+
+def _residual_variances(y: np.ndarray, lam: Optional[np.ndarray]) -> np.ndarray:
+    """||y_i||^2 / T - ||lam_i||^2 for lam = Y F / T, floored at ``SIGMA_FLOOR_REL``
+    times the largest so the inverse stays finite on exact-fit rows."""
+    variances = np.einsum("it,it->i", y, y) / y.shape[1]
+    if lam is not None:
         variances -= np.einsum("ik,ik->i", lam, lam)
     top = variances.max()
     floor = SIGMA_FLOOR_REL * top if top > 0 else SIGMA_FLOOR_REL

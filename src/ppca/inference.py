@@ -27,8 +27,8 @@ import numpy as np
 
 from .estimator import (
     PanelData,
+    _residual_variances,
     _spectrum,
-    estimate_sigma_u,
     fit_projected_pca,
     fit_regular_pca,
 )
@@ -154,9 +154,9 @@ def test_gamma_zero(
     """Test H0: Gamma = 0 via S_Gamma = tr(Lam'(I-P) Sigma_u^-1 (I-P) Lam).
 
     Lam = Y F_hat / T with the projected-PCA factors, and Sigma_u is the
-    floored diagonal residual-variance estimate (pass ``sigma_u`` to
-    override, e.g. when the noise variances are known).  Under the null
-    (with Gaussian, serially independent noise) T * S_Gamma is
+    floored diagonal ||y_i||^2 / T - ||lam_i||^2 read off that fit (pass
+    ``sigma_u`` to override, e.g. when the noise variances are known).
+    Under the null (with Gaussian, serially independent noise) T * S_Gamma is
     asymptotically chi-square with p K degrees of freedom; p-values are
     calibrated only under those conditions.
 
@@ -168,7 +168,7 @@ def test_gamma_zero(
         if sigma_u.shape != (data.p,) or not np.all(np.isfinite(sigma_u) & (sigma_u > 0)):
             raise InvalidSpecError(f"sigma_u must hold {data.p} finite positive variances")
     fit = fit_projected_pca(data, P, K)
-    sigma = estimate_sigma_u(data.y, fit.f_hat) if sigma_u is None else sigma_u
+    sigma = _residual_variances(data.y, fit.lambda_hat) if sigma_u is None else sigma_u
     s_gamma = float(np.sum(fit.gamma_hat**2 / sigma[:, None]))
     return _result(s_gamma, data.T * s_gamma, data.p * K, K)
 

@@ -12,21 +12,20 @@ factor/lambda, ``sieve_ls_known_factors`` g. ``SELECT_K_METHODS`` (``select_k_pr
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import FAMILIES, BasisSpec, build_basis, default_J
+from .dataio import config_int
 from .estimator import align_columns, fit_projected_pca, fit_regular_pca
 from .exceptions import InvalidSpecError, PpcaError
 from .inference import select_k
 from .projection import make_projector
-from .simulate import gen_calibrated, gen_design2
+from .simulate import DESIGNS, gen_design
 
 METHODS = ("projected_pca", "regular_pca", "sieve_ls_known_factors")
 SELECT_K_METHODS = ("select_k_projected", "select_k_plain")
-DESIGNS = ("design2", "calibrated")
 
 
 @dataclass(frozen=True)
@@ -54,18 +53,14 @@ class Scenario:
             raise InvalidSpecError("at least one method is required")
         if self.basis_family not in FAMILIES:
             raise InvalidSpecError(f"unknown basis family {self.basis_family!r}")
-        for key, val in (("K", self.k), ("n_reps", self.n_reps), ("seed", self.seed)):
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
-                raise InvalidSpecError(f"{key} must be an integer, got {val!r}")
-        if self.k < 1:
-            raise InvalidSpecError(f"K must be >= 1, got {self.k}")
-        if self.n_reps < 1:
-            raise InvalidSpecError("n_reps must be >= 1")
+        for attr, key, low in (("k", "K", 1), ("n_reps", "n_reps", 1), ("seed", "seed", 0)):
+            object.__setattr__(self, attr, config_int(key, getattr(self, attr), low))
         default_J(1, 1, C=self.j_c, kappa=self.j_kappa)  # checks the J_rule once, up front
-        if not self.p_grid or not self.t_grid:
-            raise InvalidSpecError("p_grid and t_grid must be nonempty")
-        object.__setattr__(self, "p_grid", tuple(int(p) for p in self.p_grid))
-        object.__setattr__(self, "t_grid", tuple(int(t) for t in self.t_grid))
+        for attr, key in (("p_grid", "p_grid"), ("t_grid", "T_grid")):
+            grid = tuple(config_int(f"{key} entry", v, 1) for v in getattr(self, attr))
+            if not grid or len(set(grid)) < len(grid):  # a repeat would count its draws twice
+                raise InvalidSpecError(f"{key} must be nonempty, without repeats: {list(grid)}")
+            object.__setattr__(self, attr, grid)
         object.__setattr__(self, "methods", tuple(self.methods))
 
     def to_dict(self) -> dict:
@@ -105,12 +100,14 @@ class Scenario:
         rule = obj.get("J_rule", {})
         if not isinstance(rule, dict):
             raise InvalidSpecError(f"J_rule must be an object, got {rule!r}")
+        for src, dst in (("C", "j_c"), ("kappa", "j_kappa")):
+            if src in rule:
+                if isinstance(rule[src], bool) or not isinstance(rule[src], (int, float)):
+                    raise InvalidSpecError(f"J_rule {src} must be a number, got {rule[src]!r}")
+                kwargs[dst] = float(rule[src])
         try:
-            for src, dst in (("C", "j_c"), ("kappa", "j_kappa")):
-                if src in rule:
-                    kwargs[dst] = float(rule[src])
             return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise InvalidSpecError(f"bad scenario: {exc}") from exc
 
 
@@ -131,12 +128,6 @@ def sieve_dimension(scenario: Scenario, p: int, T: int, d: int) -> int:
     return max(4, min(J, cap))
 
 
-def _simulate(scenario: Scenario, p: int, T: int, rng):
-    if scenario.design == "design2":
-        return gen_design2(p, T, rng=rng)
-    return gen_calibrated(p, T, rng=rng)
-
-
 def _record_errors(metrics: dict, method: str, name: str, diff: np.ndarray) -> None:
     """Largest entry and Frobenius norm over √rows of an aligned error matrix."""
     metrics[(method, f"{name}_max")] = float(np.abs(diff).max())
@@ -146,7 +137,7 @@ def _record_errors(metrics: dict, method: str, name: str, diff: np.ndarray) -> N
 def run_replication(scenario: Scenario, p: int, T: int, rep: int) -> dict:
     """One replication: simulate, fit each method, record aligned errors."""
     rng = np.random.default_rng([scenario.seed, p, T, rep])
-    panel = _simulate(scenario, p, T, rng)
+    panel = gen_design(scenario.design, p, T, rng)
     d = panel.data.x.shape[1]
     J = sieve_dimension(scenario, p, T, d)
     spec = BasisSpec(family=scenario.basis_family, J=J)

@@ -4,7 +4,9 @@ Two designs are supported: a one-covariate three-factor polynomial
 design (``gen_design2``) and a data-calibrated design with four
 covariates, sparse cross-sectional error correlation, and small
 unexplained loadings (``gen_calibrated``).  Both produce identified
-truths so estimation error can be measured directly.
+truths so estimation error can be measured directly.  ``gen_design``
+draws either by its name in ``DESIGNS``; the CLI and the Monte Carlo
+harness both call it.
 
 The calibrated design's values are module constants, fixed from the
 S&P 500 fit: the noise standard deviations are Gamma(``GAMMA_SHAPE``,
@@ -23,6 +25,8 @@ import numpy as np
 
 from .estimator import PanelData, identification_transform
 from .exceptions import InvalidSpecError
+
+DESIGNS = ("design2", "calibrated")
 
 # VAR(1) innovation covariance and transition matrix calibrated to the
 # market data (three factors).
@@ -221,3 +225,12 @@ def gen_calibrated(p: int, T: int, rng=None, seed: int | None = None) -> Simulat
         gamma_true=gamma0,
         k_true=K,
     )
+
+
+def gen_design(design: str, p: int, T: int, rng) -> SimulatedPanel:
+    """Draw one panel of the design named ``design`` (one of ``DESIGNS``) from ``rng``."""
+    if design == "design2":
+        return gen_design2(p, T, rng=rng)
+    if design == "calibrated":
+        return gen_calibrated(p, T, rng=rng)
+    raise InvalidSpecError(f"unknown design {design!r}; expected one of {DESIGNS}")

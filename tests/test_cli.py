@@ -150,23 +150,21 @@ class TestSimulate:
         assert (out1 / "Y.csv").read_bytes() == (out2 / "Y.csv").read_bytes()
         assert (out1 / "X.csv").read_bytes() == (out2 / "X.csv").read_bytes()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps({"design": "design2", "p": 40, "T": 10, "seed": 7}))
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", "--scenario", str(cfg), "--out", str(out1)]) == 0
-        monkeypatch.setenv("PPCA_SEED", "8")
-        assert main(["simulate", "--scenario", str(cfg), "--out", str(out2)]) == 0
-        assert (out1 / "Y.csv").read_bytes() != (out2 / "Y.csv").read_bytes()
-        manifest = json.loads((out2 / "manifest.json").read_text())
-        assert manifest["seed"] == 8
-
     def test_bad_config_key_exit_2(self, tmp_path, capsys):
+        # int() would truncate 300.7 and accept "5" and true; a negative seed
+        # would reach numpy's seeding as a raw ValueError
         cfg = tmp_path / "sim.json"
-        for bad in ({"frob": 1}, {"p": "x"}, {"p": None}, {"seed": "abc"}):
-            cfg.write_text(json.dumps({"design": "design2", "p": 40, "T": 10, **bad}))
+        base = {"design": "design2", "p": 40, "T": 10}
+        cases = [{**base, **bad} for bad in (
+            {"frob": 1}, {"p": "x"}, {"p": None}, {"seed": "abc"}, {"p": 300.7},
+            {"seed": "5"}, {"seed": True}, {"seed": -3}, {"design": "nope"},
+        )] + [{"design": "design2", "p": 40}]  # T missing
+        for obj in cases:
+            cfg.write_text(json.dumps(obj))
             assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 2
-            assert capsys.readouterr().err.startswith("error: ")
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (obj, err)
+            assert not (tmp_path / "o").exists()
 
 
 class TestTest:
@@ -237,11 +235,18 @@ class TestBenchmark:
         cells = {tuple(r.split(",")[3:5]) for r in text.splitlines()}
         assert {(m, k) for m in scen["methods"][1:] for k in ("k_hit", "k_abs_err")} <= cells
         assert (out / "raw_errors.csv").exists()
+        # a float, string or bool grid entry or J_rule value was coerced, and a
+        # repeated grid entry counted its draws twice in the aggregate
+        bad_out = tmp_path / "bad"
         for bad in ({"n_reps": 0}, {"p_grid": ["a"]}, {"J_rule": 5}, {"J_rule": {"C": "x"}},
-                    {"K": "3"}, {"K": 0}, {"seed": "x"}):
+                    {"K": "3"}, {"K": 0}, {"seed": "x"}, {"seed": -1}, {"p_grid": [50.5]},
+                    {"p_grid": ["60"]}, {"p_grid": [True]}, {"p_grid": [40, 40]},
+                    {"J_rule": {"C": "3"}}, {"J_rule": {"C": True}}, {"J_rule": {"kappa": "5"}}):
             path.write_text(json.dumps({**scen, **bad}))
-            assert main(["benchmark", "--scenario", str(path), "--out", str(out)]) == 2
-            assert capsys.readouterr().err.startswith("error: ")
+            assert main(["benchmark", "--scenario", str(path), "--out", str(bad_out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
+            assert not bad_out.exists()
 
 
     @pytest.mark.parametrize("rule", [{"C": -1}, {"C": float("nan")}, {"kappa": 3}],

@@ -89,8 +89,7 @@ def _mismatches(ref, new, where=""):
     return [] if same else [f"{where}: {ref!r} != {new!r}"]
 
 
-def test_fresh_run_matches_reference(tmp_path, monkeypatch):
-    monkeypatch.delenv("PPCA_SEED", raising=False)
+def test_fresh_run_matches_reference(tmp_path):
     bad = _mismatches(json.loads(REFERENCE.read_text()), reference_run(tmp_path))
     assert not bad, f"{len(bad)} outputs differ, first: " + "; ".join(bad[:10])
 

@@ -40,7 +40,6 @@ class BasisSpec:
     J: int = 8
     knot_rule: str = "quantile"
     include_intercept: bool = True
-    standardize: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -65,22 +64,20 @@ class BasisSpec:
             "J": self.J,
             "knot_rule": self.knot_rule,
             "intercept": self.include_intercept,
-            "standardize": self.standardize,
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BasisSpec":
-        unknown = set(obj) - {"family", "J", "knot_rule", "intercept", "standardize"}
+        unknown = set(obj) - {"family", "J", "knot_rule", "intercept"}
         if unknown:
             raise InvalidSpecError(f"unknown basis spec keys: {sorted(unknown)}")
         if "J" in obj:
             config_int("J", obj["J"], 1)
         kwargs = {key: obj[key] for key in ("family", "J", "knot_rule") if key in obj}
-        for key, name in (("intercept", "include_intercept"), ("standardize", "standardize")):
-            if key in obj:
-                if not isinstance(obj[key], bool):
-                    raise InvalidSpecError(f"{key} must be true or false, got {obj[key]!r}")
-                kwargs[name] = obj[key]
+        if "intercept" in obj:
+            if not isinstance(obj["intercept"], bool):
+                raise InvalidSpecError(f"intercept must be true or false, got {obj['intercept']!r}")
+            kwargs["include_intercept"] = obj["intercept"]
         return cls(**kwargs)
 
 
@@ -90,7 +87,7 @@ class BasisMatrix:
 
     ``knots`` holds the full (clamped) knot vector per covariate for the
     B-spline family and is empty otherwise.  ``supports`` holds the
-    per-covariate evaluation interval on the (possibly standardized)
+    per-covariate evaluation interval on the standardized
     scale; points outside are clamped.  ``centers`` are the column means
     subtracted from the non-intercept columns.
     """
@@ -137,18 +134,15 @@ def standardize_covariates(X: np.ndarray):
     return out, params
 
 
-def default_J(p: int, T: int, C: float = 3.0, kappa: float = 4.0) -> int:
-    """Sieve dimension rule J = floor(C * (p * min(T, p))^(1/kappa)).
+def default_J(p: int, T: int, d: int) -> int:
+    """Sieve dimension J = floor(3 (p min(T, p))^(1/4)), at most (p - 2)//d - 1 and at least 4.
 
-    Clamped below at 4 so the result is always usable with cubic
-    B-splines.
+    The cap keeps the design matrix p > m with d blocks and an intercept; the
+    floor keeps J usable with cubic B-splines.
     """
-    if p < 1 or T < 1:
-        raise InvalidSpecError("p and T must be positive")
-    if not (math.isfinite(C) and C > 0 and math.isfinite(kappa) and kappa >= 4):
-        raise InvalidSpecError(f"need finite C > 0 and kappa >= 4, got C={C}, kappa={kappa}")
-    J = math.floor(C * (p * min(T, p)) ** (1.0 / kappa))
-    return max(J, 4)
+    if p < 1 or T < 1 or d < 1:
+        raise InvalidSpecError("p, T and d must be positive")
+    return max(4, min(math.floor(3.0 * (p * min(T, p)) ** 0.25), (p - 2) // d - 1))
 
 
 def _bspline_knots(x: np.ndarray, J: int, rule: str) -> np.ndarray:
@@ -257,11 +251,7 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
     if p <= m:
         raise InvalidSpecError(f"need p > m but p={p}, m={m}")
 
-    if spec.standardize:
-        Xs, std_params = standardize_covariates(X)
-    else:
-        Xs, std_params = X, [(0.0, 1.0)] * d
-
+    Xs, std_params = standardize_covariates(X)
     supports = [(float(x.min()), float(x.max())) for x in Xs.T]
     knots = [
         _bspline_knots(x, spec.J, spec.knot_rule) if spec.family == "bspline_cubic" else None

@@ -44,7 +44,7 @@ def read_matrix(path):
     path = Path(path)
     if not path.exists():
         raise InputError(f"file not found: {path}")
-    text = path.read_text().strip()
+    text = path.read_text(encoding="utf-8-sig").strip()  # a BOM would make row 1 a header
     if not text:
         raise InputError(f"empty file: {path}")
     lines = text.splitlines()

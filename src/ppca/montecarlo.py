@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import FAMILIES, BasisSpec, build_basis, default_J
+from .basis import BasisSpec, build_basis, default_J
 from .dataio import config_int
 from .estimator import align_columns, fit_projected_pca, fit_regular_pca
 from .exceptions import InvalidSpecError, PpcaError
@@ -30,18 +30,18 @@ SELECT_K_METHODS = ("select_k_projected", "select_k_plain")
 
 @dataclass(frozen=True)
 class Scenario:
-    """Configuration of one Monte Carlo experiment."""
+    """Configuration of one Monte Carlo experiment.
+
+    Every replication fits cubic B-splines with J = ``basis.default_J(p, T, d)``.
+    """
 
     design: str = "design2"
     p_grid: tuple = (50, 100, 200)
     t_grid: tuple = (10,)
     k: int = 3
-    j_c: float = 3.0
-    j_kappa: float = 4.0
     methods: tuple = ("projected_pca", "regular_pca")
     n_reps: int = 100
     seed: int = 0
-    basis_family: str = "bspline_cubic"
 
     def __post_init__(self):
         if self.design not in DESIGNS:
@@ -51,11 +51,8 @@ class Scenario:
             raise InvalidSpecError(f"unknown methods {bad}")
         if not self.methods:
             raise InvalidSpecError("at least one method is required")
-        if self.basis_family not in FAMILIES:
-            raise InvalidSpecError(f"unknown basis family {self.basis_family!r}")
         for attr, key, low in (("k", "K", 1), ("n_reps", "n_reps", 1), ("seed", "seed", 0)):
             object.__setattr__(self, attr, config_int(key, getattr(self, attr), low))
-        default_J(1, 1, C=self.j_c, kappa=self.j_kappa)  # checks the J_rule once, up front
         for attr, key in (("p_grid", "p_grid"), ("t_grid", "T_grid")):
             grid = tuple(config_int(f"{key} entry", v, 1) for v in getattr(self, attr))
             if not grid or len(set(grid)) < len(grid):  # a repeat would count its draws twice
@@ -69,11 +66,9 @@ class Scenario:
             "p_grid": list(self.p_grid),
             "T_grid": list(self.t_grid),
             "K": self.k,
-            "J_rule": {"C": self.j_c, "kappa": self.j_kappa},
             "methods": list(self.methods),
             "n_reps": self.n_reps,
             "seed": self.seed,
-            "basis_family": self.basis_family,
         }
 
     @classmethod
@@ -87,24 +82,14 @@ class Scenario:
             "methods": "methods",
             "n_reps": "n_reps",
             "seed": "seed",
-            "basis_family": "basis_family",
         }
-        known = set(mapping) | {"J_rule"}
-        unknown = set(obj) - known
+        unknown = set(obj) - set(mapping)
         if unknown:
             raise InvalidSpecError(f"unknown scenario keys: {sorted(unknown)}")
         for src, dst in mapping.items():
             if src in obj:
                 val = obj[src]
                 kwargs[dst] = tuple(val) if isinstance(val, list) else val
-        rule = obj.get("J_rule", {})
-        if not isinstance(rule, dict):
-            raise InvalidSpecError(f"J_rule must be an object, got {rule!r}")
-        for src, dst in (("C", "j_c"), ("kappa", "j_kappa")):
-            if src in rule:
-                if isinstance(rule[src], bool) or not isinstance(rule[src], (int, float)):
-                    raise InvalidSpecError(f"J_rule {src} must be a number, got {rule[src]!r}")
-                kwargs[dst] = float(rule[src])
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -121,13 +106,6 @@ class MonteCarloResult:
     failures: list = field(default_factory=list)
 
 
-def sieve_dimension(scenario: Scenario, p: int, T: int, d: int) -> int:
-    """J from the growth rule, capped so the design matrix stays p > m."""
-    J = default_J(p, T, C=scenario.j_c, kappa=scenario.j_kappa)
-    cap = (p - 2) // d - 1
-    return max(4, min(J, cap))
-
-
 def _record_errors(metrics: dict, method: str, name: str, diff: np.ndarray) -> None:
     """Largest entry and Frobenius norm over √rows of an aligned error matrix."""
     metrics[(method, f"{name}_max")] = float(np.abs(diff).max())
@@ -139,9 +117,8 @@ def run_replication(scenario: Scenario, p: int, T: int, rep: int) -> dict:
     rng = np.random.default_rng([scenario.seed, p, T, rep])
     panel = gen_design(scenario.design, p, T, rng)
     d = panel.data.x.shape[1]
-    J = sieve_dimension(scenario, p, T, d)
-    spec = BasisSpec(family=scenario.basis_family, J=J)
-    basis = build_basis(panel.data.x, spec)
+    J = default_J(p, T, d)
+    basis = build_basis(panel.data.x, BasisSpec(J=J))
     projector = make_projector(basis)
 
     record = {"p": p, "T": T, "rep": rep, "J": J, "metrics": {}}
@@ -194,6 +171,7 @@ def run_monte_carlo(scenario: Scenario, n_jobs: int = 1) -> MonteCarloResult:
         for T in scenario.t_grid
         for rep in range(scenario.n_reps)
     ]
+    n_jobs = min(n_jobs, len(tasks))  # a fork pool starts every worker at the first submit
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:

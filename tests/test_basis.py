@@ -63,9 +63,7 @@ class TestBuildBasis:
 
     def test_polynomial_low_order_by_hand(self):
         x = np.array([-1.0, 0.0, 1.0])
-        spec = BasisSpec(
-            family="polynomial", J=2, include_intercept=False, standardize=False
-        )
+        spec = BasisSpec(family="polynomial", J=2, include_intercept=False)
         basis = build_basis(x[:, None], spec)
         np.testing.assert_allclose(basis.values[:, 0], x, atol=1e-14)
         np.testing.assert_allclose(basis.values[:, 1], x**2 - np.mean(x**2), atol=1e-14)
@@ -108,16 +106,16 @@ class TestBuildBasis:
 
 class TestDefaultJ:
     def test_growth_rule_example(self):
-        assert default_J(500, 50, C=3, kappa=4) == 37
+        assert default_J(500, 50, 1) == 37
 
     def test_perfect_fourth_power(self):
-        assert default_J(16, 16, C=1, kappa=4) == 4
+        assert default_J(16, 16, 1) == 12
 
     def test_small_panel(self):
-        assert default_J(20, 10, C=3, kappa=4) == 11
+        assert default_J(20, 10, 1) == 11
 
     def test_clamped_to_four(self):
-        assert default_J(2, 2, C=1, kappa=4) == 4
+        assert default_J(2, 2, 1) == 4
 
 
 class TestEvalCurves:
@@ -237,22 +235,24 @@ class TestSpecSerialization:
     def test_round_trip(self):
         spec = BasisSpec(family="fourier", J=6, include_intercept=False)
         obj = spec.to_dict()
-        assert set(obj) == {"family", "J", "knot_rule", "intercept", "standardize"}
+        assert set(obj) == {"family", "J", "knot_rule", "intercept"}
         assert BasisSpec.from_dict(obj) == spec
 
     def test_documented_schema(self):
         spec = BasisSpec.from_dict(
             {"family": "bspline_cubic", "J": 8, "knot_rule": "quantile",
-             "intercept": True, "standardize": True}
+             "intercept": True}
         )
         assert spec.J == 8
         assert spec.include_intercept
 
     def test_flags_must_be_json_booleans(self):
         # bool("false") is True, so a string flag must be refused, not coerced
-        for key in ("intercept", "standardize"):
-            with pytest.raises(InvalidSpecError, match=key):
-                BasisSpec.from_dict({"family": "polynomial", "J": 2, key: "false"})
+        with pytest.raises(InvalidSpecError, match="intercept"):
+            BasisSpec.from_dict({"family": "polynomial", "J": 2, "intercept": "false"})
+        # standardize is no key: covariates are always standardized
+        with pytest.raises(InvalidSpecError, match="standardize"):
+            BasisSpec.from_dict({"family": "polynomial", "J": 2, "standardize": False})
 
     def test_j_rejects_boolean(self):
         # bool is a subclass of int, so "J": true would otherwise read as J = 1

@@ -41,7 +41,7 @@ class TestFit:
         spec_path = tmp_path / "basis.json"
         spec_path.write_text(
             json.dumps({"family": "constant", "J": 1, "knot_rule": "quantile",
-                        "intercept": True, "standardize": True})
+                        "intercept": True})
         )
         out = tmp_path / "fit"
         rc = main([
@@ -58,7 +58,7 @@ class TestFit:
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         # a missing file, a ragged Y.csv, then a --basis spec that is missing, not
-        # JSON, or has a flag given as a string
+        # JSON, has a flag given as a string, or has the deleted standardize key
         y_path, x_path = _write_panel(tmp_path, np.ones((2, 2)), np.ones((2, 1)))
         (tmp_path / "ok").mkdir()
         good_y, good_x = _write_panel(tmp_path / "ok", np.ones((8, 3)), np.arange(8.0)[:, None])
@@ -67,6 +67,8 @@ class TestFit:
         bad_spec.write_text("{not json")
         str_flag = tmp_path / "str_flag.json"
         str_flag.write_text(json.dumps({"family": "polynomial", "J": 2, "intercept": "false"}))
+        old_key = tmp_path / "old_key.json"
+        old_key.write_text(json.dumps({"family": "polynomial", "J": 2, "standardize": True}))
         for data, covariates, basis, msg in (
             (tmp_path / "nope.csv", tmp_path / "nope2.csv", [], "error"),
             (y_path, x_path, [], "row 2 has 1 fields"),
@@ -74,13 +76,16 @@ class TestFit:
              f"file not found: {tmp_path / 'nope.json'}"),
             (good_y, good_x, ["--basis", str(bad_spec)], f"{bad_spec}: invalid JSON"),
             (good_y, good_x, ["--basis", str(str_flag)], "intercept must be true or false"),
+            (good_y, good_x, ["--basis", str(old_key)], "unknown basis spec keys: ['standardize']"),
         ):
             rc = main([
                 "fit", "--data", str(data), "--covariates", str(covariates), *basis,
                 "--out", str(tmp_path / "o"),
             ])
             assert rc == 2
-            assert msg in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert msg in err and err.startswith("error: ") and err.count("\n") == 1, err
+            assert not (tmp_path / "o").exists()
 
     def test_bundle_files_and_roundtrip(self, tmp_path):
         sim_out = tmp_path / "sim"
@@ -123,6 +128,13 @@ class TestCsvRoundTrip:
         b, header = read_matrix(path)
         assert header == ["a", "b", "c"]
         assert b.tobytes() == a.tobytes()
+        # a UTF-8 byte-order mark, as spreadsheet exports write it, is not part of row 1
+        path.write_text("\ufeff" + old, encoding="utf-8")
+        b, header = read_matrix(path)
+        assert header == ["a", "b", "c"] and b.tobytes() == a.tobytes()
+        path.write_text("\ufeff1.0,2.0\n3.0,4.0\n5.0,6.0", encoding="utf-8")
+        b, header = read_matrix(path)
+        assert header is None and b.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
     @pytest.mark.parametrize("text, where", [
         ("1.0,2.0\n3.0\n", "row 2 has 1 fields, expected 2"),
@@ -235,30 +247,18 @@ class TestBenchmark:
         cells = {tuple(r.split(",")[3:5]) for r in text.splitlines()}
         assert {(m, k) for m in scen["methods"][1:] for k in ("k_hit", "k_abs_err")} <= cells
         assert (out / "raw_errors.csv").exists()
-        # a float, string or bool grid entry or J_rule value was coerced, and a
-        # repeated grid entry counted its draws twice in the aggregate
+        # a float, string or bool grid entry was coerced, a repeated grid entry
+        # counted its draws twice in the aggregate, and J_rule and basis_family are
+        # deleted keys
         bad_out = tmp_path / "bad"
-        for bad in ({"n_reps": 0}, {"p_grid": ["a"]}, {"J_rule": 5}, {"J_rule": {"C": "x"}},
-                    {"K": "3"}, {"K": 0}, {"seed": "x"}, {"seed": -1}, {"p_grid": [50.5]},
-                    {"p_grid": ["60"]}, {"p_grid": [True]}, {"p_grid": [40, 40]},
-                    {"J_rule": {"C": "3"}}, {"J_rule": {"C": True}}, {"J_rule": {"kappa": "5"}}):
+        for bad in ({"n_reps": 0}, {"p_grid": ["a"]}, {"K": "3"}, {"K": 0}, {"seed": "x"},
+                    {"seed": -1}, {"p_grid": [50.5]}, {"p_grid": ["60"]}, {"p_grid": [True]},
+                    {"p_grid": [40, 40]}, {"J_rule": {"C": 3}}, {"basis_family": "polynomial"}):
             path.write_text(json.dumps({**scen, **bad}))
             assert main(["benchmark", "--scenario", str(path), "--out", str(bad_out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
             assert not bad_out.exists()
-
-
-    @pytest.mark.parametrize("rule", [{"C": -1}, {"C": float("nan")}, {"kappa": 3}],
-                             ids=["C=-1", "C=nan", "kappa=3"])
-    def test_bad_j_rule_exits_2_without_output(self, tmp_path, capsys, rule):
-        path = tmp_path / "scen.json"
-        path.write_text(json.dumps({"design": "design2", "p_grid": [40], "T_grid": [10],
-                                    "n_reps": 2, "J_rule": rule}))
-        out = tmp_path / "bench"
-        assert main(["benchmark", "--scenario", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
 
 
 def test_cli_import_skips_scipy_stats():

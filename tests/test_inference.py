@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppca.basis import BasisSpec, build_basis
 from ppca.estimator import PanelData, estimate_sigma_u, fit_projected_pca
@@ -12,7 +14,7 @@ from ppca.exceptions import BoundaryWarning, InvalidSpecError, NearTieWarning, R
 from ppca import inference
 from ppca.inference import select_k
 from ppca.projection import make_projector
-from ppca.simulate import gen_design2
+from ppca.simulate import gen_calibrated, gen_design, gen_design2
 from scipy import special
 
 
@@ -253,3 +255,57 @@ class TestSelectK:
         assert set(obj) == {"K_hat", "eigenvalues", "ratios", "method", "at_boundary"}
         assert obj["K_hat"] == res.k_hat
         assert len(obj["ratios"]) >= 1
+
+
+def _span_outputs(data, basis, K=3):
+    """Everything the estimator and both tests read off span(Phi): F, G, Gamma, S_G, S_Gamma, K_hat."""
+    P = make_projector(basis)
+    fit = fit_projected_pca(data, P, K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        k_hat = select_k(data.y, P, basis.m).k_hat
+    return {"F": fit.f_hat, "G": fit.g_hat, "Gamma": fit.gamma_hat,
+            "S_G": inference.test_g_zero(data, P, K).statistic,
+            "S_Gamma": inference.test_gamma_zero(data, P, K).statistic, "K_hat": k_hat}
+
+
+def _assert_same_outputs(a, b, rtol=1e-10, keys=("F", "G", "Gamma", "S_G", "S_Gamma")):
+    for key in keys:
+        scale = np.abs(a[key]).max()
+        assert np.abs(np.asarray(a[key]) - b[key]).max() <= rtol * scale, key
+
+
+SPECS = [BasisSpec(J=6), BasisSpec(J=6, knot_rule="uniform"),
+         BasisSpec(family="polynomial", J=4), BasisSpec(family="fourier", J=4)]
+
+
+class TestSpanInvariance:
+    """The estimates depend on the covariates only through span(Phi(X))."""
+
+    @given(st.sampled_from(["design2", "calibrated"]), st.sampled_from(SPECS),
+           st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_affine_covariates(self, design, spec, seed):
+        # x_l -> a_l x_l + b_l with 0.1 <= |a_l| <= 10 of either sign and |b_l| <= 10: a
+        # negative a_l mirrors the knot set, which leaves the span unchanged
+        rng = np.random.default_rng(seed)
+        data = gen_design(design, 120, 20, rng).data
+        d = data.x.shape[1]
+        a = rng.uniform(0.1, 10.0, d) * rng.choice([-1.0, 1.0], d)
+        moved = PanelData(y=data.y, x=data.x * a + rng.uniform(-10.0, 10.0, d))
+        ref = _span_outputs(data, build_basis(data.x, spec))
+        got = _span_outputs(moved, build_basis(moved.x, spec))
+        _assert_same_outputs(ref, got)
+        assert got["K_hat"] == ref["K_hat"]
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_polynomial_and_bspline_share_the_cubic_span(self, seed):
+        # cubic B-splines without interior knots span {1, x, x^2, x^3} per covariate,
+        # as polynomials of degree 3 do: 17 and 13 columns of rank 13 on 4 covariates
+        data = gen_calibrated(120, 20, seed=seed).data
+        poly = build_basis(data.x, BasisSpec(family="polynomial", J=3))
+        spline = build_basis(data.x, BasisSpec(J=4))
+        assert (poly.m, spline.m) == (13, 17)
+        assert make_projector(spline).rank == 13
+        _assert_same_outputs(_span_outputs(data, poly), _span_outputs(data, spline))

@@ -2,13 +2,9 @@ from dataclasses import replace
 
 import pytest
 
+from ppca.basis import default_J
 from ppca.exceptions import InvalidSpecError
-from ppca.montecarlo import (
-    Scenario,
-    run_monte_carlo,
-    run_replication,
-    sieve_dimension,
-)
+from ppca.montecarlo import Scenario, run_monte_carlo, run_replication
 
 
 SMALL = Scenario(
@@ -26,8 +22,7 @@ SELECT_K = replace(SMALL, methods=("select_k_projected", "select_k_plain"))
 class TestScenario:
     def test_json_round_trip(self):
         obj = SMALL.to_dict()
-        assert set(obj) == {"design", "p_grid", "T_grid", "K", "J_rule", "methods",
-                            "n_reps", "seed", "basis_family"}
+        assert set(obj) == {"design", "p_grid", "T_grid", "K", "methods", "n_reps", "seed"}
         assert Scenario.from_dict(obj) == SMALL
 
     def test_unknown_key_rejected(self):
@@ -47,21 +42,16 @@ class TestScenario:
         with pytest.raises(InvalidSpecError):
             Scenario(design="design9")
 
-    def test_j_rule_round_trip(self):
-        s = Scenario(j_c=2.5, j_kappa=5.0)
-        assert Scenario.from_dict(s.to_dict()) == s
-
 
 class TestSieveDimension:
     def test_cap_binds_for_small_p(self):
         # at small p the growth rule exceeds what p rows can support
-        s = Scenario()
-        J = sieve_dimension(s, p=10, T=1000, d=1)
-        assert J == (10 - 2) // 1 - 1
+        assert default_J(10, 1000, 1) == (10 - 2) // 1 - 1
+        assert default_J(60, 1000, 4) == (60 - 2) // 4 - 1
 
     def test_floor_of_four(self):
-        s = Scenario(j_c=0.1)
-        assert sieve_dimension(s, p=50, T=10, d=1) == 4
+        # the cap (p - 2)//d - 1 = 1 falls below the floor of 4
+        assert default_J(50, 10, 24) == 4
 
 
 class TestRunReplication:
@@ -93,6 +83,31 @@ class TestRunMonteCarlo:
         parallel = run_monte_carlo(SMALL, n_jobs=3)
         assert serial.aggregate == parallel.aggregate
         assert not serial.failures
+
+    def test_workers_capped_at_task_count(self, monkeypatch):
+        # a fork pool starts all max_workers processes at the first submit
+        import concurrent.futures
+
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        one, two = replace(SMALL, p_grid=(40,), n_reps=1), replace(SMALL, p_grid=(40,), n_reps=2)
+        assert run_monte_carlo(one, n_jobs=3).aggregate == run_monte_carlo(one).aggregate
+        assert run_monte_carlo(two, n_jobs=3).aggregate == run_monte_carlo(two).aggregate
+        assert started == [2]
 
     def test_aggregate_schema(self):
         res = run_monte_carlo(SMALL, n_jobs=1)

@@ -6,10 +6,13 @@
 Each revision runs from a ``git archive`` in a temporary directory for its own ``BENCHMARK.json``
 ``run_seconds``; round i rotates the side order by i.  Each run's environment and result lines are
 appended to ``--out`` as printed; a run that exits non-zero or ends without a result stops the runner.
+At the end it prints, per side, the median of each end-to-end metric over all runs of the workload
+in ``--out``, earlier ones included.
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -54,6 +57,16 @@ def main(argv=None):
                              "trace": args.trace, "environment": env, "result": lines[-1]})
                 print(side, seed, lines[-1], flush=True)
                 args.out.write_text(json.dumps(runs, indent=1, ensure_ascii=False) + "\n")
+    by_side = {}
+    for run in runs:
+        if run["workload"] == args.workload:
+            metrics = json.loads(run["result"])["metrics"]
+            for name, metric in metrics.items():
+                by_side.setdefault(run["side"], {}).setdefault(name, []).append(metric["value"])
+    for side, metrics in by_side.items():
+        n = len(next(iter(metrics.values())))
+        print(f"median of {n} {args.workload} runs, {side}:",
+              " ".join(f"{name}={statistics.median(v):.6g}" for name, v in metrics.items()))
 
 
 if __name__ == "__main__":

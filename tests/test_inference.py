@@ -269,10 +269,9 @@ def _span_outputs(data, basis, K=3):
             "S_Gamma": inference.test_gamma_zero(data, P, K).statistic, "K_hat": k_hat}
 
 
-def _assert_same_outputs(a, b, rtol=1e-10, keys=("F", "G", "Gamma", "S_G", "S_Gamma")):
-    for key in keys:
-        scale = np.abs(a[key]).max()
-        assert np.abs(np.asarray(a[key]) - b[key]).max() <= rtol * scale, key
+def _assert_same_outputs(a, b):
+    for key in ("F", "G", "Gamma", "S_G", "S_Gamma"):  # to 1e-10 of the largest entry
+        assert np.abs(np.asarray(a[key]) - b[key]).max() <= 1e-10 * np.abs(a[key]).max(), key
 
 
 SPECS = [BasisSpec(J=6), BasisSpec(J=6, knot_rule="uniform"),

@@ -18,6 +18,7 @@ from .dataio import (
     read_json_object,
     read_matrix,
     write_aggregate_csv,
+    write_csv,
     write_fit_bundle,
     write_json,
     write_manifest,
@@ -89,23 +90,15 @@ def cmd_fit(args) -> int:
 
 
 def _write_curves_csv(path, b_hat, basis) -> None:
-    """Plot-ready per-covariate curve samples on a uniform grid."""
-    lines = ["covariate,x"]
-    K = b_hat.shape[1]
-    lines[0] += "," + ",".join(f"g{k + 1}" for k in range(K))
-    for l in range(basis.d):
-        mu, sd = basis.standardization[l]
-        lo, hi = basis.supports[l]
-        grid_std = np.linspace(lo, hi, CURVE_GRID_POINTS)
-        grid_raw = grid_std * sd + mu
-        pts = np.zeros((CURVE_GRID_POINTS, basis.d))
-        pts[:, l] = grid_raw
-        curves = eval_curves(b_hat, basis, pts)
-        comp = curves.per_covariate[:, l, :]
-        for i in range(CURVE_GRID_POINTS):
-            vals = ",".join(repr(float(v)) for v in comp[i])
-            lines.append(f"{l},{repr(float(grid_raw[i]))},{vals}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Plot-ready per-covariate curve samples on a uniform grid over each covariate's range."""
+    lo, hi = np.array(basis.supports).T
+    mu, sd = np.array(basis.standardization).T
+    grid = np.linspace(lo, hi, CURVE_GRID_POINTS) * sd + mu  # column l: covariate l's grid
+    comp = eval_curves(b_hat, basis, grid).per_covariate
+    header = ["covariate", "x"] + [f"g{k + 1}" for k in range(b_hat.shape[1])]
+    rows = ([l, x, *g] for l in range(basis.d)
+            for x, g in zip(grid[:, l].tolist(), comp[:, l].tolist()))
+    write_csv(path, header, rows)
 
 
 def cmd_test(args) -> int:
@@ -181,19 +174,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="fit factors and loading curves from CSVs")
-    fit.add_argument("--data", required=True, help="Y.csv, p rows x T columns")
-    fit.add_argument("--covariates", required=True, help="X.csv, p rows x d columns")
-    fit.add_argument("--k", default="auto", help="number of factors or 'auto'")
-    fit.add_argument("--basis", default=None, help="basis spec JSON file")
+    model = argparse.ArgumentParser(add_help=False)  # the inputs of fit and test
+    model.add_argument("--data", required=True, help="Y.csv, p rows x T columns")
+    model.add_argument("--covariates", required=True, help="X.csv, p rows x d columns")
+    model.add_argument("--k", default="auto", help="number of factors or 'auto'")
+    model.add_argument("--basis", default=None, help="basis spec JSON file")
+
+    fit = sub.add_parser("fit", parents=[model], help="fit factors and loading curves from CSVs")
     fit.add_argument("--out", required=True, help="output directory")
     fit.set_defaults(func=cmd_fit)
 
-    test = sub.add_parser("test", help="loading specification tests")
-    test.add_argument("--data", required=True)
-    test.add_argument("--covariates", required=True)
-    test.add_argument("--basis", default=None)
-    test.add_argument("--k", default="auto")
+    test = sub.add_parser("test", parents=[model], help="loading specification tests")
     test.add_argument("--which", default="both", choices=["g", "gamma", "both"])
     test.add_argument("--out", required=True, help="results JSON path")
     test.set_defaults(func=cmd_test)

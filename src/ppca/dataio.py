@@ -19,19 +19,24 @@ from . import __version__
 from .exceptions import InputError, InvalidSpecError
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: an optional header, then each row's cells joined by ``,``.
+
+    Cells go through ``str``, which gives a Python float its shortest
+    round-trip digits.
+    """
+    lines = [] if header is None else [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_matrix(path, M: np.ndarray, header=None) -> None:
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    lines = []
-    if header is not None:
-        if len(header) != M.shape[1]:
-            raise InputError("header length does not match column count")
-        lines.append(",".join(header))
-    lines.extend(",".join(map(repr, row)) for row in M.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    if header is not None and len(header) != M.shape[1]:
+        raise InputError("header length does not match column count")
+    # an exhausted list iterator drops its list, which frees the row lists before
+    # write_csv joins the text
+    write_csv(path, header, iter(M.tolist()))
 
 
 def read_matrix(path):
@@ -122,18 +127,15 @@ def write_manifest(path, command: str, config: dict, seed, input_paths=()) -> di
 
 
 def write_fit_bundle(out_dir, fit, basis_spec: dict, m: int) -> None:
-    """FitResult as a directory of CSVs plus a JSON summary."""
+    """A projected-PCA FitResult as a directory of CSVs plus a JSON summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     K = fit.k
     write_matrix(out / "factors.csv", fit.f_hat, header=[f"f{k + 1}" for k in range(K)])
-    if fit.g_hat is not None:
-        write_matrix(out / "loadings_g.csv", fit.g_hat)
-    if fit.gamma_hat is not None:
-        write_matrix(out / "loadings_gamma.csv", fit.gamma_hat)
+    write_matrix(out / "loadings_g.csv", fit.g_hat)
+    write_matrix(out / "loadings_gamma.csv", fit.gamma_hat)
     write_matrix(out / "loadings_lambda.csv", fit.lambda_hat)
-    if fit.b_hat is not None:
-        write_matrix(out / "coefficients.csv", fit.b_hat)
+    write_matrix(out / "coefficients.csv", fit.b_hat)
     summary = {
         "K": K,
         "m": m,
@@ -146,23 +148,16 @@ def write_fit_bundle(out_dir, fit, basis_spec: dict, m: int) -> None:
 
 def write_aggregate_csv(path, rows) -> None:
     cols = ["design", "p", "T", "method", "metric", "mean", "sd", "n", "n_failed"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(row[c]) if isinstance(row[c], float) else str(row[c])
-                for c in cols
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, cols, ([row[c] for c in cols] for row in rows))
 
 
 def write_raw_errors_csv(path, raw_records) -> None:
-    lines = ["p,T,rep,J,method,metric,value"]
-    for rec in raw_records:
-        for (method, metric), value in sorted(rec["metrics"].items()):
-            lines.append(
-                f"{rec['p']},{rec['T']},{rec['rep']},{rec['J']},"
-                f"{method},{metric},{_fmt(value)}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        ["p", "T", "rep", "J", "method", "metric", "value"],
+        (
+            [rec["p"], rec["T"], rec["rep"], rec["J"], method, metric, value]
+            for rec in raw_records
+            for (method, metric), value in sorted(rec["metrics"].items())
+        ),
+    )

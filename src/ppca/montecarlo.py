@@ -12,6 +12,7 @@ factor/lambda, ``sieve_ls_known_factors`` g. ``SELECT_K_METHODS`` (``select_k_pr
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,16 @@ from .simulate import DESIGNS, gen_design
 
 METHODS = ("projected_pca", "regular_pca", "sieve_ls_known_factors")
 SELECT_K_METHODS = ("select_k_projected", "select_k_plain")
+# (JSON key, Scenario field), in the order of ``Scenario.to_dict``
+_SCENARIO_KEYS = (
+    ("design", "design"),
+    ("p_grid", "p_grid"),
+    ("T_grid", "t_grid"),
+    ("K", "k"),
+    ("methods", "methods"),
+    ("n_reps", "n_reps"),
+    ("seed", "seed"),
+)
 
 
 @dataclass(frozen=True)
@@ -46,6 +57,9 @@ class Scenario:
     def __post_init__(self):
         if self.design not in DESIGNS:
             raise InvalidSpecError(f"unknown design {self.design!r}")
+        for attr, key in (("p_grid", "p_grid"), ("t_grid", "T_grid"), ("methods", "methods")):
+            if not isinstance(getattr(self, attr), (list, tuple)):  # a string would be iterated
+                raise InvalidSpecError(f"{key} must be a list, got {getattr(self, attr)!r}")
         bad = [m for m in self.methods if m not in METHODS + SELECT_K_METHODS]
         if bad:
             raise InvalidSpecError(f"unknown methods {bad}")
@@ -61,39 +75,15 @@ class Scenario:
         object.__setattr__(self, "methods", tuple(self.methods))
 
     def to_dict(self) -> dict:
-        return {
-            "design": self.design,
-            "p_grid": list(self.p_grid),
-            "T_grid": list(self.t_grid),
-            "K": self.k,
-            "methods": list(self.methods),
-            "n_reps": self.n_reps,
-            "seed": self.seed,
-        }
+        values = {key: getattr(self, attr) for key, attr in _SCENARIO_KEYS}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
-        kwargs = {}
-        mapping = {
-            "design": "design",
-            "p_grid": "p_grid",
-            "T_grid": "t_grid",
-            "K": "k",
-            "methods": "methods",
-            "n_reps": "n_reps",
-            "seed": "seed",
-        }
-        unknown = set(obj) - set(mapping)
+        unknown = set(obj) - {key for key, _ in _SCENARIO_KEYS}
         if unknown:
             raise InvalidSpecError(f"unknown scenario keys: {sorted(unknown)}")
-        for src, dst in mapping.items():
-            if src in obj:
-                val = obj[src]
-                kwargs[dst] = tuple(val) if isinstance(val, list) else val
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise InvalidSpecError(f"bad scenario: {exc}") from exc
+        return cls(**{attr: obj[key] for key, attr in _SCENARIO_KEYS if key in obj})
 
 
 @dataclass
@@ -190,11 +180,7 @@ def run_monte_carlo(scenario: Scenario, n_jobs: int = 1) -> MonteCarloResult:
             key = (payload["p"], payload["T"], method, metric)
             by_cell.setdefault(key, []).append(value)
 
-    n_failed_by_pt: dict = {}
-    for fail in result.failures:
-        n_failed_by_pt[(fail["p"], fail["T"])] = (
-            n_failed_by_pt.get((fail["p"], fail["T"]), 0) + 1
-        )
+    n_failed_by_pt = Counter((fail["p"], fail["T"]) for fail in result.failures)
 
     for (p, T, method, metric), values in sorted(by_cell.items()):
         arr = np.asarray(values)
@@ -208,7 +194,7 @@ def run_monte_carlo(scenario: Scenario, n_jobs: int = 1) -> MonteCarloResult:
                 "mean": float(arr.mean()),
                 "sd": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
                 "n": int(arr.size),
-                "n_failed": n_failed_by_pt.get((p, T), 0),
+                "n_failed": n_failed_by_pt[(p, T)],
             }
         )
     return result

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import ppca
 
+from ppca.basis import BasisSpec, build_basis, eval_curves
 from ppca.cli import main
 from ppca.dataio import read_matrix, write_matrix
 from ppca.exceptions import InputError
@@ -109,6 +111,22 @@ class TestFit:
         gam, _ = read_matrix(out / "loadings_gamma.csv")
         lam, _ = read_matrix(out / "loadings_lambda.csv")
         np.testing.assert_allclose(g + gam, lam, atol=1e-12)
+        # curves.csv: 200 points per covariate over its observed range, each g_k(x) the
+        # covariate's own additive curve, as eval_curves gives it with the others at zero
+        curves, header = read_matrix(out / "curves.csv")
+        assert header == ["covariate", "x", "g1", "g2", "g3"]
+        x, _ = read_matrix(sim_out / "X.csv")
+        b_hat, _ = read_matrix(out / "coefficients.csv")
+        basis = build_basis(x, BasisSpec())
+        np.testing.assert_array_equal(curves[:, 0], np.repeat(np.arange(x.shape[1]), 200))
+        for l in range(x.shape[1]):
+            block = curves[curves[:, 0] == l]
+            np.testing.assert_allclose(block[[0, -1], 1], [x[:, l].min(), x[:, l].max()],
+                                       rtol=1e-12, atol=1e-12)
+            pts = np.zeros((200, x.shape[1]))
+            pts[:, l] = block[:, 1]
+            own = eval_curves(b_hat, basis, pts).per_covariate[:, l]
+            np.testing.assert_allclose(block[:, 2:], own, rtol=1e-12, atol=1e-12)
 
 
 class TestCsvRoundTrip:
@@ -118,6 +136,18 @@ class TestCsvRoundTrip:
         write_matrix(path, a)
         b, _ = read_matrix(path)
         np.testing.assert_array_equal(a, b)
+
+    def test_write_frees_rows_before_joining(self, tmp_path, rng):
+        # the text, its lines and the encoded bytes make about three copies of the file;
+        # the row lists of M.tolist() add about two more if held through the join
+        path = tmp_path / "m.csv"
+        tracemalloc.start()
+        try:
+            write_matrix(path, rng.standard_normal((2000, 50)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * path.stat().st_size
 
     def test_write_bytes_and_read_bits(self, tmp_path):
         a = np.array([[-0.0, 5e-324, 1e308], [0.1, 3.0, -7.0], [0.0, 1e-7, 2.0**60]])
@@ -249,15 +279,19 @@ class TestBenchmark:
         assert (out / "raw_errors.csv").exists()
         # a float, string or bool grid entry was coerced, a repeated grid entry
         # counted its draws twice in the aggregate, and J_rule and basis_family are
-        # deleted keys
+        # deleted keys; a string or number where a list belongs was iterated
+        not_lists = ({"methods": "regular_pca"}, {"p_grid": "40"}, {"p_grid": 40})
         bad_out = tmp_path / "bad"
         for bad in ({"n_reps": 0}, {"p_grid": ["a"]}, {"K": "3"}, {"K": 0}, {"seed": "x"},
                     {"seed": -1}, {"p_grid": [50.5]}, {"p_grid": ["60"]}, {"p_grid": [True]},
-                    {"p_grid": [40, 40]}, {"J_rule": {"C": 3}}, {"basis_family": "polynomial"}):
+                    {"p_grid": [40, 40]}, {"J_rule": {"C": 3}}, {"basis_family": "polynomial"},
+                    *not_lists):
             path.write_text(json.dumps({**scen, **bad}))
             assert main(["benchmark", "--scenario", str(path), "--out", str(bad_out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
+            if bad in not_lists:
+                assert f"{next(iter(bad))} must be a list" in err, (bad, err)
             assert not bad_out.exists()
 
 
@@ -319,3 +353,17 @@ def test_only_dataio_imports_json():
             if any(n is not None and n.split(".")[0] == "json" for n in names):
                 importers.add(path.name)
     assert importers == {"dataio.py"}
+
+
+def test_only_dataio_writes_files():
+    # dataio holds every file writer; the CLI hands it rows and dicts
+    writers = set()
+    for path in Path(ppca.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else func.id if isinstance(func, ast.Name) else None)
+                if name in ("open", "write_text", "write_bytes"):
+                    writers.add(path.name)
+    assert writers == {"dataio.py"}

@@ -3,7 +3,8 @@ from dataclasses import replace
 import pytest
 
 from ppca.basis import default_J
-from ppca.exceptions import InvalidSpecError
+from ppca import montecarlo
+from ppca.exceptions import InvalidSpecError, NumericalError
 from ppca.montecarlo import Scenario, run_monte_carlo, run_replication
 
 
@@ -22,7 +23,8 @@ SELECT_K = replace(SMALL, methods=("select_k_projected", "select_k_plain"))
 class TestScenario:
     def test_json_round_trip(self):
         obj = SMALL.to_dict()
-        assert set(obj) == {"design", "p_grid", "T_grid", "K", "methods", "n_reps", "seed"}
+        # the key order is the benchmark manifest's
+        assert list(obj) == ["design", "p_grid", "T_grid", "K", "methods", "n_reps", "seed"]
         assert Scenario.from_dict(obj) == SMALL
 
     def test_unknown_key_rejected(self):
@@ -125,6 +127,18 @@ class TestRunMonteCarlo:
     def test_failure_records_exception_type(self):
         res = run_monte_carlo(replace(SMALL, p_grid=(3,), n_reps=1))
         assert [(f["p"], f["type"]) for f in res.failures] == [(3, "InvalidSpecError")]
+
+    def test_failures_counted_per_cell(self, monkeypatch):
+        def flaky(scenario, p, T, rep):
+            if p == 40 and rep > 0:
+                raise NumericalError("injected")
+            return run_replication(scenario, p, T, rep)
+
+        monkeypatch.setattr(montecarlo, "run_replication", flaky)
+        res = run_monte_carlo(SMALL)
+        assert len(res.failures) == SMALL.n_reps - 1
+        assert {(r["p"], r["n"], r["n_failed"]) for r in res.aggregate} == {
+            (40, 1, SMALL.n_reps - 1), (60, SMALL.n_reps, 0)}
 
     def test_cell_mean_lookup(self, cell_mean):
         res = run_monte_carlo(SMALL, n_jobs=1)

@@ -13,7 +13,6 @@ from .estimator import (
     FitResult,
     PanelData,
     align_columns,
-    estimate_sigma_u,
     fit_projected_pca,
     fit_regular_pca,
     identification_transform,
@@ -45,7 +44,6 @@ __all__ = [
     "build_basis",
     "default_J",
     "default_loading_curves",
-    "estimate_sigma_u",
     "eval_curves",
     "fit_projected_pca",
     "fit_regular_pca",

@@ -130,7 +130,7 @@ def write_fit_bundle(out_dir, fit, basis_spec: dict, m: int) -> None:
     """A projected-PCA FitResult as a directory of CSVs plus a JSON summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    K = fit.k
+    K = fit.f_hat.shape[1]
     write_matrix(out / "factors.csv", fit.f_hat, header=[f"f{k + 1}" for k in range(K)])
     write_matrix(out / "loadings_g.csv", fit.g_hat)
     write_matrix(out / "loadings_gamma.csv", fit.gamma_hat)
@@ -140,7 +140,7 @@ def write_fit_bundle(out_dir, fit, basis_spec: dict, m: int) -> None:
         "K": K,
         "m": m,
         "eigenvalues": [float(v) for v in fit.eigvals],
-        "method": fit.method,
+        "method": "projected_pca",
         "spec": basis_spec,
     }
     write_json(out / "fit.json", summary)

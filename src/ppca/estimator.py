@@ -5,8 +5,9 @@ alone decides how they are computed.  Y'PY = Z'Z with Z = Q'Y only m x T,
 so projected mode takes a thin SVD of Z and never forms a T x T matrix;
 plain mode takes the top K pairs of the T x T Gram matrix Y'Y by subspace
 iteration (``_top_eigh``), cheaper than a full eigh or an SVD of the p x T
-panel.  Loadings follow by least squares, Lambda_hat = Y F_hat / T, split into the projected part G_hat and the
-orthogonal remainder Gamma_hat.
+panel.  Loadings follow by least squares, Lambda_hat = Y F_hat / T; a projected fit
+splits them into the projected part G_hat and the orthogonal remainder
+Gamma_hat.
 """
 
 from __future__ import annotations
@@ -65,16 +66,14 @@ class PanelData:
 
 @dataclass
 class FitResult:
-    """Estimated factors and loadings; loadings split only for projected PCA."""
+    """Projected-PCA factors, loadings Lambda_hat = G_hat + Gamma_hat, and sieve coefficients."""
 
     f_hat: np.ndarray
     lambda_hat: np.ndarray
     eigvals: np.ndarray
-    method: str
-    k: int
-    g_hat: Optional[np.ndarray] = None
-    gamma_hat: Optional[np.ndarray] = None
-    b_hat: Optional[np.ndarray] = None
+    g_hat: np.ndarray
+    gamma_hat: np.ndarray
+    b_hat: np.ndarray
 
 
 def _column_signs(V: np.ndarray) -> np.ndarray:
@@ -184,16 +183,17 @@ def fit_projected_pca(data: PanelData, P: Projector, K: int) -> FitResult:
         f_hat=f_hat,
         lambda_hat=g_hat + gamma_hat,
         eigvals=eigvals[:K] / T,
-        method="projected_pca",
-        k=K,
         g_hat=g_hat,
         gamma_hat=gamma_hat,
         b_hat=b_hat,
     )
 
 
-def fit_regular_pca(y: np.ndarray, K: int) -> FitResult:
-    """Baseline PCA: factors from the top-K eigenvectors of Y'Y."""
+def fit_regular_pca(y: np.ndarray, K: int):
+    """Baseline PCA: factors from the top-K eigenvectors of Y'Y.
+
+    Returns ``(f_hat, lambda_hat, eigvals)`` with Lambda_hat = Y F_hat / T.
+    """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         raise DimensionMismatchError("Y must be 2-dimensional")
@@ -202,38 +202,18 @@ def fit_regular_pca(y: np.ndarray, K: int) -> FitResult:
         raise KTooLargeError(f"need 1 <= K < T={T}, got K={K}")
     eigvals, v = _spectrum(y, None, K)
     f_hat = np.sqrt(T) * v
-    return FitResult(
-        f_hat=f_hat,
-        lambda_hat=y @ f_hat / T,
-        eigvals=eigvals[:K] / T,
-        method="regular_pca",
-        k=K,
-    )
+    return f_hat, y @ f_hat / T, eigvals[:K] / T
 
 
-def estimate_sigma_u(y: np.ndarray, f_hat: Optional[np.ndarray]) -> np.ndarray:
-    """Diagonal idiosyncratic variances, Sigma_u = diag(Y (I - FF'/T) Y') / T.
+def _residual_variances(y: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Diagonal of Sigma_u = Y (I - FF'/T) Y' / T for lam = Y F / T.
 
-    Requires F'F/T = I, as every fit returns (``InvalidSpecError`` beyond
-    1e-8).  Then the diagonal is ||y_i||^2 / T - ||lambda_i||^2 with
-    Lambda = Y F / T, two row sums that never form the p x T residual.
-    With no factors the variances reduce to row second moments.
+    With F'F/T = I, as every fit returns, that is ||y_i||^2 / T - ||lam_i||^2:
+    two row sums that never form the p x T residual.  Floored at
+    ``SIGMA_FLOOR_REL`` times the largest so the inverse stays finite on
+    exact-fit rows.
     """
-    y = np.asarray(y, dtype=float)
-    T, lam = y.shape[1], None
-    if f_hat is not None and f_hat.size:
-        if np.abs(f_hat.T @ f_hat / T - np.eye(f_hat.shape[1])).max() > 1e-8:
-            raise InvalidSpecError("f_hat must satisfy F'F/T = I")
-        lam = y @ f_hat / T
-    return _residual_variances(y, lam)
-
-
-def _residual_variances(y: np.ndarray, lam: Optional[np.ndarray]) -> np.ndarray:
-    """||y_i||^2 / T - ||lam_i||^2 for lam = Y F / T, floored at ``SIGMA_FLOOR_REL``
-    times the largest so the inverse stays finite on exact-fit rows."""
-    variances = np.einsum("it,it->i", y, y) / y.shape[1]
-    if lam is not None:
-        variances -= np.einsum("ik,ik->i", lam, lam)
+    variances = np.einsum("it,it->i", y, y) / y.shape[1] - np.einsum("ik,ik->i", lam, lam)
     top = variances.max()
     floor = SIGMA_FLOOR_REL * top if top > 0 else SIGMA_FLOOR_REL
     return np.maximum(variances, floor)
@@ -279,22 +259,12 @@ def identification_transform(F: np.ndarray, G: np.ndarray):
     return F0, G0, H
 
 
-def align_columns(est: np.ndarray, truth: np.ndarray):
-    """Column-sign alignment and error norms against a reference matrix.
-
-    Returns ``(signs, max_err, fro_err)`` where each estimated column's
-    sign is flipped to minimize its distance to the matching truth
-    column, ``max_err`` is the entrywise max of the aligned difference,
-    and ``fro_err`` is the Frobenius norm divided by sqrt(n rows).
-    """
+def align_columns(est: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Per-column signs (+1 or -1) that bring each estimated column closest to its truth."""
     est = np.asarray(est, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if est.shape != truth.shape:
         raise DimensionMismatchError(
             f"shape mismatch: {est.shape} vs {truth.shape}"
         )
-    dots = np.sum(est * truth, axis=0)
-    signs = np.where(dots < 0, -1.0, 1.0)
-    diff = est * signs - truth
-    n = est.shape[0]
-    return signs, float(np.abs(diff).max()), float(np.linalg.norm(diff) / np.sqrt(n))
+    return np.where(np.sum(est * truth, axis=0) < 0, -1.0, 1.0)

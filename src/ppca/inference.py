@@ -117,15 +117,6 @@ class SelectionResult:
     method: str
     at_boundary: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "K_hat": self.k_hat,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "ratios": [float(v) for v in self.ratios],
-            "method": self.method,
-            "at_boundary": self.at_boundary,
-        }
-
 
 def test_g_zero(data: PanelData, P: Projector, K: int) -> TestResult:
     """Test H0: G(X) = 0 via S_G = tr(W1 Lam'P Lam) / p = tr(W1 z'z) / p.
@@ -138,7 +129,7 @@ def test_g_zero(data: PanelData, P: Projector, K: int) -> TestResult:
     and the chi-square upper-tail p-value are reported.
     """
     p = data.p
-    lam = fit_regular_pca(data.y, K).lambda_hat
+    _, lam, _ = fit_regular_pca(data.y, K)
     w_inv = lam.T @ lam / p
     cond = np.linalg.cond(w_inv)
     if not np.isfinite(cond) or cond > 1e12:

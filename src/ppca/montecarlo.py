@@ -5,9 +5,11 @@ master seed and the cell coordinates, so the output table is identical
 no matter how many worker processes run the replications.
 
 ``METHODS`` record errors after sign alignment (``_max``/``_fro``: largest entry,
-Frobenius norm over √p): ``projected_pca`` factor/lambda/g/gamma, ``regular_pca``
+Frobenius norm over √rows): ``projected_pca`` factor/lambda/g/gamma, ``regular_pca``
 factor/lambda, ``sieve_ls_known_factors`` g. ``SELECT_K_METHODS`` (``select_k_projected``,
 ``select_k_plain``) record ``k_hit`` (1.0 if K̂ = K) and ``k_abs_err`` (|K̂ − K|).
+A (p, T) cell whose replications all failed aggregates to one ``all_failed`` row
+per method, with mean and sd NaN and n 0.
 """
 
 from __future__ import annotations
@@ -111,23 +113,22 @@ def run_replication(scenario: Scenario, p: int, T: int, rep: int) -> dict:
     basis = build_basis(panel.data.x, BasisSpec(J=J))
     projector = make_projector(basis)
 
+    truths = {"factor": panel.f_true, "lambda": panel.g_true + panel.gamma_true,
+              "g": panel.g_true, "gamma": panel.gamma_true}
     record = {"p": p, "T": T, "rep": rep, "J": J, "metrics": {}}
     metrics = record["metrics"]
     for method in scenario.methods:
         if method in ("projected_pca", "regular_pca"):
             if method == "projected_pca":
                 fit = fit_projected_pca(panel.data, projector, scenario.k)
+                estimates = {"factor": fit.f_hat, "lambda": fit.lambda_hat,
+                             "g": fit.g_hat, "gamma": fit.gamma_hat}
             else:
-                fit = fit_regular_pca(panel.data.y, scenario.k)
-            signs, _, _ = align_columns(fit.f_hat, panel.f_true)
-            for name, est, truth in (
-                ("factor", fit.f_hat, panel.f_true),
-                ("lambda", fit.lambda_hat, panel.g_true + panel.gamma_true),
-                ("g", fit.g_hat, panel.g_true),  # None for regular_pca
-                ("gamma", fit.gamma_hat, panel.gamma_true),
-            ):
-                if est is not None:
-                    _record_errors(metrics, method, name, est * signs - truth)
+                f_hat, lambda_hat, _ = fit_regular_pca(panel.data.y, scenario.k)
+                estimates = {"factor": f_hat, "lambda": lambda_hat}
+            signs = align_columns(estimates["factor"], panel.f_true)
+            for name, est in estimates.items():
+                _record_errors(metrics, method, name, est * signs - truths[name])
         elif method == "sieve_ls_known_factors":
             # loadings from projected LS with the true factors observed
             est = projector.project(panel.data.y @ panel.f_true) / T
@@ -181,9 +182,17 @@ def run_monte_carlo(scenario: Scenario, n_jobs: int = 1) -> MonteCarloResult:
             by_cell.setdefault(key, []).append(value)
 
     n_failed_by_pt = Counter((fail["p"], fail["T"]) for fail in result.failures)
+    # a cell whose replications all failed keeps one row per method
+    for p, T in n_failed_by_pt.keys() - {(rec["p"], rec["T"]) for rec in result.raw}:
+        for method in scenario.methods:
+            by_cell[(p, T, method, "all_failed")] = []
 
     for (p, T, method, metric), values in sorted(by_cell.items()):
-        arr = np.asarray(values)
+        if values:
+            arr = np.asarray(values)
+            mean, sd = float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+        else:
+            mean = sd = float("nan")
         result.aggregate.append(
             {
                 "design": scenario.design,
@@ -191,9 +200,9 @@ def run_monte_carlo(scenario: Scenario, n_jobs: int = 1) -> MonteCarloResult:
                 "T": T,
                 "method": method,
                 "metric": metric,
-                "mean": float(arr.mean()),
-                "sd": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-                "n": int(arr.size),
+                "mean": mean,
+                "sd": sd,
+                "n": len(values),
                 "n_failed": n_failed_by_pt[(p, T)],
             }
         )

@@ -134,8 +134,8 @@ def gen_design2(p: int, T: int, rng=None, seed: int | None = None) -> SimulatedP
     """
     if p <= 3:
         raise InvalidSpecError("design 2 needs p > 3")
-    if T < 2:
-        raise InvalidSpecError("T must be >= 2")
+    if T < 3:  # F'F of the K = 3 factors would be singular
+        raise InvalidSpecError(f"design 2 needs T >= K = 3, got T={T}")
     rng = np.random.default_rng(seed if rng is None else rng)
     x = rng.standard_normal(p)
     g = design2_curves(x)
@@ -201,10 +201,10 @@ def gen_calibrated(p: int, T: int, rng=None, seed: int | None = None) -> Simulat
     Y = (G0 + Gamma0) F0' + U holds exactly.
     """
     rng = np.random.default_rng(seed if rng is None else rng)
-    if T < 2:
-        raise InvalidSpecError("T must be >= 2")
     coeffs = default_loading_curves()
     K, d, _ = coeffs.shape
+    if p < K or T < K:  # G'G or F'F would be singular
+        raise InvalidSpecError(f"the calibrated design needs p, T >= K = {K}, got p={p}, T={T}")
     x = rng.standard_normal((p, d)) @ np.linalg.cholesky(DEFAULT_SIGMA_X).T
     powers = np.stack([np.ones_like(x), x, x**2, x**3], axis=-1)
     g = np.einsum("nlj,klj->nk", powers, coeffs)

@@ -208,6 +208,18 @@ class TestSimulate:
             assert err.startswith("error: ") and err.count("\n") == 1, (obj, err)
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("design, p, T", [
+        ("design2", 10, 2), ("calibrated", 10, 2), ("calibrated", 2, 10),
+    ])
+    def test_fewer_rows_than_factors_exit_2(self, tmp_path, capsys, design, p, T):
+        # F'F (T < K = 3) or G'G (p < K) of the draw would be singular
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"design": design, "p": p, "T": T}))
+        assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "K = 3" in err and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
 
 class TestTest:
     def test_both_schema(self, tmp_path, capsys):
@@ -242,6 +254,24 @@ class TestTest:
                      "--covariates", str(sim_out / "X.csv"), "--k", "0",
                      "--out", str(res_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+    @pytest.mark.parametrize("case", ["overflow", "rank_one"])
+    def test_numerical_failure_exit_3(self, tmp_path, capsys, rng, case):
+        # Y'Y overflows, so eigh fails; or the second loading column of a rank-one Y
+        # is roundoff, so the G test's weight matrix is singular
+        if case == "overflow":
+            y = ppca.gen_design2(40, 10, seed=1).data.y * 1e200
+        else:
+            y = np.outer(rng.standard_normal(40), rng.standard_normal(10))
+        y_path, x_path = _write_panel(tmp_path, y, rng.standard_normal((40, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["test", "--data", str(y_path), "--covariates", str(x_path),
+                       "--k", "2", "--which", "g", "--out", str(tmp_path / "t.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestAutoK:
@@ -341,6 +371,29 @@ def test_public_namespace_resolves():
     for name in ppca.__all__:
         assert hasattr(ppca, name), name
     exec("from ppca import *", {})
+
+
+def test_public_names_have_callers():
+    # each name in ppca.__all__ is used in src/ppca (outside its own definition
+    # and __init__.py) or in ppcabench; a name only tests call is dead surface
+    used = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in enclosing:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    package = Path(ppca.__file__).parent
+    bench = package.parents[1] / "ppcabench"
+    for path in [*package.glob("*.py"), *bench.glob("*.py")]:
+        if path.name != "__init__.py" or path.parent != package:
+            visit(ast.parse(path.read_text()), frozenset())
+    assert sorted(set(ppca.__all__) - used) == []
 
 
 def test_only_dataio_imports_json():

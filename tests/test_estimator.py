@@ -7,9 +7,9 @@ from ppca.basis import BasisSpec, build_basis
 from ppca.estimator import (
     SIGMA_FLOOR_REL,
     PanelData,
+    _residual_variances,
     _top_eigh,
     align_columns,
-    estimate_sigma_u,
     fit_projected_pca,
     fit_regular_pca,
     fix_signs,
@@ -17,10 +17,11 @@ from ppca.estimator import (
 )
 from ppca.exceptions import (
     DimensionMismatchError,
-    InvalidSpecError,
+    EigenFailureError,
     KTooLargeError,
     NearTieWarning,
     NonDistinctEigenvaluesWarning,
+    RankDeficientError,
 )
 from ppca.projection import make_projector
 from ppca.simulate import gen_design2
@@ -43,7 +44,7 @@ class TestProjectedPca:
         target_g = np.linalg.norm(ybar) / np.sqrt(T) * np.ones(p)
         np.testing.assert_allclose(sign * fit.g_hat[:, 0], target_g, atol=1e-10)
 
-    def test_noiseless_identified_recovery(self, rng):
+    def test_noiseless_identified_recovery(self, rng, aligned_max_error):
         p, T, K = 80, 20, 3
         x = rng.standard_normal((p, 1))
         basis = build_basis(x, BasisSpec(J=6))
@@ -53,10 +54,8 @@ class TestProjectedPca:
         f0, g0, _ = identification_transform(f_raw, g_raw)
         data = PanelData(y=g0 @ f0.T, x=x)
         fit = fit_projected_pca(data, make_projector(basis), K)
-        _, f_err, _ = align_columns(fit.f_hat, f0)
-        _, g_err, _ = align_columns(fit.g_hat, g0)
-        assert f_err < 1e-8
-        assert g_err < 1e-8
+        assert aligned_max_error(fit.f_hat, f0) < 1e-8
+        assert aligned_max_error(fit.g_hat, g0) < 1e-8
 
     def test_power_iteration_oracle(self, rng):
         p, T = 5, 4
@@ -145,27 +144,33 @@ class TestRegularPca:
         T = 10
         lam = rng.standard_normal(30)
         f = rng.standard_normal(T)
-        fit = fit_regular_pca(np.outer(lam, f), 1)
+        f_hat, _, _ = fit_regular_pca(np.outer(lam, f), 1)
         target = np.sqrt(T) * f / np.linalg.norm(f)
-        sign = np.sign(fit.f_hat[:, 0] @ target)
-        np.testing.assert_allclose(sign * fit.f_hat[:, 0], target, atol=1e-8)
+        sign = np.sign(f_hat[:, 0] @ target)
+        np.testing.assert_allclose(sign * f_hat[:, 0], target, atol=1e-8)
 
     def test_svd_oracle(self, rng):
         y = rng.standard_normal((4, 3))
-        fit = fit_regular_pca(y, 2)
+        f_hat, _, _ = fit_regular_pca(y, 2)
         _, _, vt = np.linalg.svd(y)
         for k in range(2):
             target = np.sqrt(3) * vt[k]
-            sign = np.sign(fit.f_hat[:, k] @ target)
-            np.testing.assert_allclose(sign * fit.f_hat[:, k], target, atol=1e-8)
+            sign = np.sign(f_hat[:, k] @ target)
+            np.testing.assert_allclose(sign * f_hat[:, k], target, atol=1e-8)
 
     def test_full_span_projection_equals_regular(self, rng):
         p, T = 12, 8
         data = PanelData(y=rng.standard_normal((p, T)), x=rng.standard_normal((p, 1)))
         P = make_projector(rng.standard_normal((p, p)) + 3 * np.eye(p))
         proj_fit = fit_projected_pca(data, P, 2)
-        reg_fit = fit_regular_pca(data.y, 2)
-        np.testing.assert_allclose(proj_fit.f_hat, reg_fit.f_hat, atol=1e-8)
+        f_hat, _, _ = fit_regular_pca(data.y, 2)
+        np.testing.assert_allclose(proj_fit.f_hat, f_hat, atol=1e-8)
+
+    def test_overflowing_gram_raises_eigen_failure(self):
+        # Y'Y of a design-2 panel scaled by 1e200 overflows to inf, and eigh cannot converge
+        y = gen_design2(40, 10, seed=1).data.y * 1e200
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EigenFailureError):
+            fit_regular_pca(y, 2)
 
 
 def _gram_eigh_reference(y, K):
@@ -194,13 +199,13 @@ class TestRegularPcaGramOracle:
             "tiny_tall": lambda: rng.standard_normal((3, 4)),
         }[case]()
         assert _top_eigh(y.T @ y, K)[0].size == n_values
-        fit = fit_regular_pca(y, K)
+        f_hat, _, eigvals = fit_regular_pca(y, K)
         f_ref, eig_ref = _gram_eigh_reference(y, K)
-        np.testing.assert_allclose(fit.f_hat, f_ref, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(fit.eigvals, eig_ref, rtol=1e-10)
-        again = fit_regular_pca(y, K)
-        assert again.f_hat.tobytes() == fit.f_hat.tobytes()
-        assert again.eigvals.tobytes() == fit.eigvals.tobytes()
+        np.testing.assert_allclose(f_hat, f_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-10)
+        f_again, _, eig_again = fit_regular_pca(y, K)
+        assert f_again.tobytes() == f_hat.tobytes()
+        assert eig_again.tobytes() == eigvals.tobytes()
 
     def test_near_tie_warns_and_matches(self, rng):
         u = np.linalg.qr(rng.standard_normal((40, 4)))[0]
@@ -209,11 +214,11 @@ class TestRegularPcaGramOracle:
         # the tie defeats the gap bound, so pair K + 1 is iterated to convergence
         assert _top_eigh(y.T @ y, 2)[0].size == 3
         with pytest.warns(NearTieWarning):
-            fit = fit_regular_pca(y, 2)
+            f_hat, _, eigvals = fit_regular_pca(y, 2)
         f_ref, eig_ref = _gram_eigh_reference(y, 2)
-        np.testing.assert_allclose(fit.eigvals, eig_ref, rtol=1e-10)
+        np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-10)
         # inside the tied pair the second factor is not determined
-        np.testing.assert_allclose(fit.f_hat[:, 0], f_ref[:, 0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(f_hat[:, 0], f_ref[:, 0], rtol=0, atol=1e-10)
 
 
 @st.composite
@@ -258,18 +263,20 @@ class TestVerifyEquivalence:
 
 
 class TestSigmaU:
+    """``_residual_variances``, the sigma_u estimate of ``test_gamma_zero``."""
+
     def test_exact_fit_floors(self, rng):
         T, K = 12, 2
         f = np.linalg.qr(rng.standard_normal((T, K)))[0] * np.sqrt(T)
         lam = rng.standard_normal((20, K))
         y = lam @ f.T
-        var = estimate_sigma_u(y, f)
+        var = _residual_variances(y, y @ f / T)
         assert np.all(var > 0)
         assert var.max() <= 1e-6  # everything at or near the floor
 
     def test_no_factors_row_second_moments(self, rng):
         y = rng.standard_normal((6, 9))
-        var = estimate_sigma_u(y, None)
+        var = _residual_variances(y, np.zeros((6, 0)))
         np.testing.assert_allclose(var, np.sum(y**2, axis=1) / 9, atol=1e-14)
 
     @pytest.mark.parametrize("case", ["random", "design2"])
@@ -277,22 +284,17 @@ class TestSigmaU:
         # the row-sum form ||y_i||^2/T - ||lambda_i||^2 against the p x T residual
         if case == "random":
             y = rng.standard_normal((3, 4))
-            fit = fit_regular_pca(y, 1)
+            f_hat, lam, _ = fit_regular_pca(y, 1)
         else:
             data = gen_design2(1000, 50, seed=8).data
             y = data.y
             fit = fit_projected_pca(data, make_projector(build_basis(data.x, BasisSpec(J=8))), 3)
-        var = estimate_sigma_u(y, fit.f_hat)
-        resid = y - fit.lambda_hat @ fit.f_hat.T
+            f_hat, lam = fit.f_hat, fit.lambda_hat
+        var = _residual_variances(y, lam)
+        resid = y - lam @ f_hat.T
         oracle = np.diag(resid @ resid.T) / y.shape[1]
         assert oracle.min() > 1e3 * SIGMA_FLOOR_REL * oracle.max()  # no row at the floor
         np.testing.assert_allclose(var, oracle, rtol=1e-10, atol=0)
-
-    def test_rejects_unnormalized_factors(self, rng):
-        T = 10
-        f = np.linalg.qr(rng.standard_normal((T, 2)))[0] * np.sqrt(2 * T)  # F'F/T = 2I
-        with pytest.raises(InvalidSpecError):
-            estimate_sigma_u(rng.standard_normal((5, T)), f)
 
 
 class TestIdentification:
@@ -325,6 +327,18 @@ class TestIdentification:
         with pytest.warns(NonDistinctEigenvaluesWarning):
             identification_transform(f, g)
 
+    @pytest.mark.parametrize("singular", ["F", "G"])
+    def test_singular_input_raises(self, rng, singular):
+        # a repeated column makes F'F or G'G exactly singular
+        f = rng.standard_normal((20, 2))
+        g = rng.standard_normal((30, 2))
+        if singular == "F":
+            f[:, 1] = f[:, 0]
+        else:
+            g[:, 1] = g[:, 0]
+        with pytest.raises(RankDeficientError, match=f"{singular}'{singular}"):
+            identification_transform(f, g)
+
     def test_scalar_case(self, rng):
         f = rng.standard_normal((25, 1))
         g = rng.standard_normal((10, 1))
@@ -336,22 +350,18 @@ class TestIdentification:
 class TestAlignColumns:
     def test_pure_sign_flip(self, rng):
         truth = rng.standard_normal((10, 3))
-        signs, mx, fr = align_columns(-truth, truth)
-        np.testing.assert_array_equal(signs, -np.ones(3))
-        assert mx == 0.0 and fr == 0.0
+        np.testing.assert_array_equal(align_columns(-truth, truth), -np.ones(3))
 
     def test_identity(self, rng):
         truth = rng.standard_normal((10, 2))
-        signs, mx, fr = align_columns(truth, truth)
-        np.testing.assert_array_equal(signs, np.ones(2))
-        assert mx == 0.0
+        np.testing.assert_array_equal(align_columns(truth, truth), np.ones(2))
 
     def test_single_perturbation(self, rng):
+        # a perturbed entry leaves each column's sign to its own match
         truth = rng.standard_normal((8, 2))
-        est = truth.copy()
+        est = truth * [-1.0, 1.0]
         est[3, 1] += 0.1
-        _, mx, _ = align_columns(est, truth)
-        assert mx == pytest.approx(0.1)
+        np.testing.assert_array_equal(align_columns(est, truth), [-1.0, 1.0])
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):

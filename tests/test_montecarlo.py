@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -139,6 +140,14 @@ class TestRunMonteCarlo:
         assert len(res.failures) == SMALL.n_reps - 1
         assert {(r["p"], r["n"], r["n_failed"]) for r in res.aggregate} == {
             (40, 1, SMALL.n_reps - 1), (60, SMALL.n_reps, 0)}
+        # p = 3 fails every replication (design 2 needs p > 3): the cell keeps one
+        # all_failed row per method instead of vanishing from the table
+        res = run_monte_carlo(replace(SMALL, p_grid=[3, 40]))
+        failed = [r for r in res.aggregate if r["p"] == 3]
+        assert [(r["method"], r["metric"], r["n"], r["n_failed"]) for r in failed] == [
+            (m, "all_failed", 0, SMALL.n_reps) for m in sorted(SMALL.methods)]
+        assert all(math.isnan(r["mean"]) and math.isnan(r["sd"]) for r in failed)
+        assert {(r["n"], r["n_failed"]) for r in res.aggregate if r["p"] == 40} == {(1, 2)}
 
     def test_cell_mean_lookup(self, cell_mean):
         res = run_monte_carlo(SMALL, n_jobs=1)

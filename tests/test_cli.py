@@ -194,12 +194,14 @@ class TestSimulate:
 
     def test_bad_config_key_exit_2(self, tmp_path, capsys):
         # int() would truncate 300.7 and accept "5" and true; a negative seed
-        # would reach numpy's seeding as a raw ValueError
+        # would reach numpy's seeding as a raw ValueError; T < K = 3 (p < K on the
+        # calibrated design) would make F'F (G'G) singular, a numerical failure
         cfg = tmp_path / "sim.json"
         base = {"design": "design2", "p": 40, "T": 10}
         cases = [{**base, **bad} for bad in (
             {"frob": 1}, {"p": "x"}, {"p": None}, {"seed": "abc"}, {"p": 300.7},
-            {"seed": "5"}, {"seed": True}, {"seed": -3}, {"design": "nope"},
+            {"seed": "5"}, {"seed": True}, {"seed": -3}, {"design": "nope"}, {"T": 2},
+            {"design": "calibrated", "T": 2}, {"design": "calibrated", "p": 2},
         )] + [{"design": "design2", "p": 40}]  # T missing
         for obj in cases:
             cfg.write_text(json.dumps(obj))
@@ -207,18 +209,6 @@ class TestSimulate:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (obj, err)
             assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("design, p, T", [
-        ("design2", 10, 2), ("calibrated", 10, 2), ("calibrated", 2, 10),
-    ])
-    def test_fewer_rows_than_factors_exit_2(self, tmp_path, capsys, design, p, T):
-        # F'F (T < K = 3) or G'G (p < K) of the draw would be singular
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps({"design": design, "p": p, "T": T}))
-        assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "K = 3" in err and err.count("\n") == 1, err
-        assert not (tmp_path / "o").exists()
 
 
 class TestTest:

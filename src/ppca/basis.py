@@ -53,10 +53,11 @@ class BasisSpec:
         if self.family == "bspline_cubic" and self.J < 4:
             raise InvalidSpecError("cubic B-splines need J >= 4")
 
-    def n_columns(self, d: int) -> int:
-        if self.family == "constant":
-            return 1
-        return self.J * d + (1 if self.include_intercept else 0)
+    def check_rows(self, p: int, d: int) -> None:
+        """InvalidSpecError unless p exceeds the basis column count m on d covariates."""
+        m = 1 if self.family == "constant" else self.J * d + (1 if self.include_intercept else 0)
+        if p <= m:
+            raise InvalidSpecError(f"need p > m but p={p}, m={m}")
 
     def to_dict(self) -> dict:
         return {
@@ -110,6 +111,12 @@ class BasisMatrix:
     @property
     def d(self) -> int:
         return len(self.supports)
+
+    @property
+    def blocks(self) -> list:
+        """Column slices of the d covariate blocks, after the intercept column if any."""
+        start, J = (1 if self.spec.include_intercept else 0), self.spec.J
+        return [slice(start + l * J, start + (l + 1) * J) for l in range(self.d)]
 
 
 def standardize_covariates(X: np.ndarray):
@@ -247,9 +254,7 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
             centers=np.zeros(1),
         )
 
-    m = spec.n_columns(d)
-    if p <= m:
-        raise InvalidSpecError(f"need p > m but p={p}, m={m}")
+    spec.check_rows(p, d)
 
     Xs, std_params = standardize_covariates(X)
     supports = [(float(x.min()), float(x.max())) for x in Xs.T]
@@ -343,10 +348,8 @@ def eval_curves(B_hat: np.ndarray, basis: BasisMatrix, x: np.ndarray) -> CurveVa
             per_covariate=np.zeros((n, 0, K)),
             intercept=np.zeros(K),
         )
-    offset = 1 if spec.include_intercept else 0
     per_cov = np.empty((n, basis.d, K))
-    for l in range(basis.d):
-        sl = slice(offset + l * spec.J, offset + (l + 1) * spec.J)
+    for l, sl in enumerate(basis.blocks):
         per_cov[:, l, :] = rows[:, sl] @ B_hat[sl, :]
     intercept = B_hat[0, :].copy() if spec.include_intercept else np.zeros(K)
     return CurveValues(total=total, per_covariate=per_cov, intercept=intercept)

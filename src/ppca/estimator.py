@@ -146,6 +146,8 @@ def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
             w, v = np.linalg.eigvalsh(y.T @ y), None
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigendecomposition failed: {exc}") from exc
+    if not np.all(np.isfinite(w)):  # s**2 overflows on a panel near the float range
+        raise EigenFailureError("eigenvalues are not finite; rescale the panel")
     order = np.argsort(w)[::-1]
     w = w[order] if P is None else np.concatenate([w[order], np.zeros(T - w.size)])
     if 0 < K < T and w[K] > 0 and w[K - 1] / w[K] < 1.0 + NEAR_TIE_RTOL:

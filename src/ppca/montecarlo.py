@@ -25,7 +25,7 @@ from .estimator import align_columns, fit_projected_pca, fit_regular_pca
 from .exceptions import InvalidSpecError, PpcaError
 from .inference import select_k
 from .projection import make_projector
-from .simulate import DESIGNS, gen_design
+from .simulate import DESIGNS, check_shape, gen_design
 
 METHODS = ("projected_pca", "regular_pca", "sieve_ls_known_factors")
 SELECT_K_METHODS = ("select_k_projected", "select_k_plain")
@@ -45,7 +45,8 @@ _SCENARIO_KEYS = (
 class Scenario:
     """Configuration of one Monte Carlo experiment.
 
-    Every replication fits cubic B-splines with J = ``basis.default_J(p, T, d)``.
+    Every replication fits cubic B-splines with J = ``basis.default_J(p, T, d)``;
+    every (p, T) cell must be one the design can draw and that basis can fit.
     """
 
     design: str = "design2"
@@ -75,6 +76,10 @@ class Scenario:
                 raise InvalidSpecError(f"{key} must be nonempty, without repeats: {list(grid)}")
             object.__setattr__(self, attr, grid)
         object.__setattr__(self, "methods", tuple(self.methods))
+        for p in self.p_grid:  # a cell no replication can draw or fit is a config error
+            for T in self.t_grid:
+                d = check_shape(self.design, p, T)
+                BasisSpec(J=default_J(p, T, d)).check_rows(p, d)
 
     def to_dict(self) -> dict:
         values = {key: getattr(self, attr) for key, attr in _SCENARIO_KEYS}

@@ -26,7 +26,9 @@ import numpy as np
 from .estimator import PanelData, identification_transform
 from .exceptions import InvalidSpecError
 
-DESIGNS = ("design2", "calibrated")
+# covariates d, least p and least T of each design: its K = 3 truths need G'G and F'F nonsingular
+DESIGN_SHAPES = {"design2": (1, 4, 3), "calibrated": (4, 3, 3)}
+DESIGNS = tuple(DESIGN_SHAPES)
 
 # VAR(1) innovation covariance and transition matrix calibrated to the
 # market data (three factors).
@@ -77,6 +79,14 @@ class SimulatedPanel:
     g_true: np.ndarray
     gamma_true: np.ndarray
     k_true: int
+
+
+def check_shape(design: str, p: int, T: int) -> int:
+    """The covariate count d of ``design``; InvalidSpecError if it cannot draw a p x T panel."""
+    d, p_min, t_min = DESIGN_SHAPES[design]
+    if p < p_min or T < t_min:
+        raise InvalidSpecError(f"{design} needs p >= {p_min} and T >= {t_min}, got p={p}, T={T}")
+    return d
 
 
 def simulate_var(a: np.ndarray, sigma_eps: np.ndarray, T: int, rng) -> np.ndarray:
@@ -132,10 +142,7 @@ def gen_design2(p: int, T: int, rng=None, seed: int | None = None) -> SimulatedP
     calibrated VAR transition with identity innovation covariance, noise
     i.i.d. standard normal.  The returned truths are identified.
     """
-    if p <= 3:
-        raise InvalidSpecError("design 2 needs p > 3")
-    if T < 3:  # F'F of the K = 3 factors would be singular
-        raise InvalidSpecError(f"design 2 needs T >= K = 3, got T={T}")
+    check_shape("design2", p, T)
     rng = np.random.default_rng(seed if rng is None else rng)
     x = rng.standard_normal(p)
     g = design2_curves(x)
@@ -200,11 +207,10 @@ def gen_calibrated(p: int, T: int, rng=None, seed: int | None = None) -> Simulat
     identified and Gamma is transformed consistently so that
     Y = (G0 + Gamma0) F0' + U holds exactly.
     """
+    check_shape("calibrated", p, T)
     rng = np.random.default_rng(seed if rng is None else rng)
     coeffs = default_loading_curves()
     K, d, _ = coeffs.shape
-    if p < K or T < K:  # G'G or F'F would be singular
-        raise InvalidSpecError(f"the calibrated design needs p, T >= K = {K}, got p={p}, T={T}")
     x = rng.standard_normal((p, d)) @ np.linalg.cholesky(DEFAULT_SIGMA_X).T
     powers = np.stack([np.ones_like(x), x, x**2, x**3], axis=-1)
     g = np.einsum("nlj,klj->nk", powers, coeffs)

@@ -263,6 +263,21 @@ class TestTest:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("command", [["fit", "--out", "fit"],
+                                         ["test", "--which", "gamma", "--out", "t.json"]])
+    def test_projected_overflow_exit_3(self, tmp_path, capsys, rng, command):
+        # Q'Y stays finite but its squared singular values overflow
+        y = ppca.gen_design2(40, 10, seed=1).data.y * 1e200
+        y_path, x_path = _write_panel(tmp_path, y, rng.standard_normal((40, 1)))
+        out = tmp_path / command[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([command[0], "--data", str(y_path), "--covariates", str(x_path),
+                       "--k", "3", *command[1:-1], str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 class TestAutoK:
     def test_auto_selects_true_k(self, tmp_path):
@@ -313,6 +328,16 @@ class TestBenchmark:
             if bad in not_lists:
                 assert f"{next(iter(bad))} must be a list" in err, (bad, err)
             assert not bad_out.exists()
+
+    def test_cells_the_design_cannot_draw_exit_2(self, tmp_path, capsys):
+        # every p = 3 and T = 2 replication of design 2 would fail in the simulator
+        path, out = tmp_path / "scen.json", tmp_path / "bench"
+        path.write_text(json.dumps({"design": "design2", "p_grid": [3, 40], "T_grid": [2, 10],
+                                    "methods": ["projected_pca"], "n_reps": 2}))
+        assert main(["benchmark", "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: design2 needs p >= 4") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def test_cli_import_skips_scipy_stats():

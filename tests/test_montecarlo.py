@@ -5,7 +5,7 @@ import pytest
 
 from ppca.basis import default_J
 from ppca import montecarlo
-from ppca.exceptions import InvalidSpecError, NumericalError
+from ppca.exceptions import InvalidSpecError, KTooLargeError, NumericalError
 from ppca.montecarlo import Scenario, run_monte_carlo, run_replication
 
 
@@ -44,6 +44,18 @@ class TestScenario:
     def test_unknown_design_rejected(self):
         with pytest.raises(InvalidSpecError):
             Scenario(design="design9")
+
+    @pytest.mark.parametrize("design, p_ok, p_bad, T_ok, T_bad", [
+        # design 2 draws p >= 4 and T >= 3, and at p = 5 its J = 4 basis has 5 columns;
+        # the calibrated design's J = 4 basis has 4 * 4 + 1 = 17 columns
+        ("design2", 6, 5, 3, 2),
+        ("calibrated", 18, 17, 3, 2),
+    ])
+    def test_cells_the_design_cannot_draw_rejected(self, design, p_ok, p_bad, T_ok, T_bad):
+        Scenario(design=design, p_grid=(p_ok,), t_grid=(T_ok,))
+        for p, T in ((p_bad, T_ok), (p_ok, T_bad)):
+            with pytest.raises(InvalidSpecError, match=f"p={p}"):
+                Scenario(design=design, p_grid=(p,), t_grid=(T,))
 
 
 class TestSieveDimension:
@@ -125,9 +137,14 @@ class TestRunMonteCarlo:
         assert (40, "projected_pca", "factor_fro") in cells
         assert (60, "regular_pca", "lambda_max") in cells
 
-    def test_failure_records_exception_type(self):
-        res = run_monte_carlo(replace(SMALL, p_grid=(3,), n_reps=1))
-        assert [(f["p"], f["type"]) for f in res.failures] == [(3, "InvalidSpecError")]
+    def test_failure_records_exception_type(self, monkeypatch):
+        def fail(scenario, p, T, rep):
+            raise KTooLargeError("injected")
+
+        monkeypatch.setattr(montecarlo, "run_replication", fail)
+        res = run_monte_carlo(replace(SMALL, p_grid=(40,), n_reps=1))
+        assert [(f["p"], f["type"], f["error"]) for f in res.failures] == [
+            (40, "KTooLargeError", "injected")]
 
     def test_failures_counted_per_cell(self, monkeypatch):
         def flaky(scenario, p, T, rep):
@@ -140,10 +157,16 @@ class TestRunMonteCarlo:
         assert len(res.failures) == SMALL.n_reps - 1
         assert {(r["p"], r["n"], r["n_failed"]) for r in res.aggregate} == {
             (40, 1, SMALL.n_reps - 1), (60, SMALL.n_reps, 0)}
-        # p = 3 fails every replication (design 2 needs p > 3): the cell keeps one
-        # all_failed row per method instead of vanishing from the table
-        res = run_monte_carlo(replace(SMALL, p_grid=[3, 40]))
-        failed = [r for r in res.aggregate if r["p"] == 3]
+        # a cell whose every replication fails keeps one all_failed row per
+        # method instead of vanishing from the table
+        def dead(scenario, p, T, rep):
+            if p == 60:
+                raise NumericalError("injected")
+            return flaky(scenario, p, T, rep)
+
+        monkeypatch.setattr(montecarlo, "run_replication", dead)
+        res = run_monte_carlo(SMALL)
+        failed = [r for r in res.aggregate if r["p"] == 60]
         assert [(r["method"], r["metric"], r["n"], r["n_failed"]) for r in failed] == [
             (m, "all_failed", 0, SMALL.n_reps) for m in sorted(SMALL.methods)]
         assert all(math.isnan(r["mean"]) and math.isnan(r["sd"]) for r in failed)

@@ -3,8 +3,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppca.exceptions import DegenerateBasisError, DimensionMismatchError
+from ppca.basis import BasisSpec, build_basis
+from ppca.exceptions import DegenerateBasisError, DimensionMismatchError, InvalidSpecError
 from ppca.projection import make_projector
+from ppca.simulate import gen_design
+
+
+def _assert_matches_svd_oracle(P, phi, c):
+    """P c and the least-norm sieve coefficients agree with a thin SVD cut at 1e-10 * s_1."""
+    u, s, vt = np.linalg.svd(phi, full_matrices=False)
+    r = int(np.sum(s > 1e-10 * s[0]))
+    q, coef = u[:, :r], vt[:r].T / s[:r]
+    assert P.rank == r
+    for got, want in ((P.project(c), q @ (q.T @ c)),
+                      (P.solve_sieve_coefficients(c), coef @ (q.T @ c))):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts the SVDs taken, so a test can tell the fallback from the Cholesky path."""
+    calls, svd = [], np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
 
 
 class TestMakeProjector:
@@ -34,6 +60,47 @@ class TestMakeProjector:
     def test_degenerate_basis(self):
         with pytest.raises(DegenerateBasisError):
             make_projector(np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries(self, rng, bad):
+        phi = rng.standard_normal((10, 3))
+        phi[4, 1] = bad
+        with pytest.raises(InvalidSpecError, match="non-finite"):
+            make_projector(phi)
+
+
+class TestFactorisation:
+    SPECS = [BasisSpec(), BasisSpec(J=20), BasisSpec(include_intercept=False),
+             BasisSpec(family="polynomial", J=4), BasisSpec(family="fourier", J=6),
+             BasisSpec(family="constant")]
+
+    @pytest.mark.parametrize("design", ["design2", "calibrated"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.family}-{s.J}-{s.include_intercept}")
+    def test_matches_svd_oracle(self, design, spec, svd_calls):
+        panel = gen_design(design, 300, 50, np.random.default_rng(7))
+        basis = build_basis(panel.data.x, spec)
+        P = make_projector(basis)
+        fast = not svd_calls
+        _assert_matches_svd_oracle(P, basis.values, panel.data.y)
+        if spec.family == "bspline_cubic":
+            # each block's centred columns sum to zero: rank m - d, by the Cholesky path
+            assert fast and P.rank == basis.m - basis.d
+        if fast:
+            assert np.abs(P.q.T @ P.q - np.eye(P.rank)).max() <= 1e-12
+
+    def test_fallback_on_duplicated_columns(self, rng, svd_calls):
+        phi = rng.standard_normal((30, 4))
+        phi = np.hstack([phi, phi[:, 1:2]])
+        P = make_projector(phi)
+        assert svd_calls == [phi.shape] and P.rank == 4
+        _assert_matches_svd_oracle(P, phi, rng.standard_normal((30, 3)))
+
+    def test_fallback_on_ill_conditioned_polynomials(self, svd_calls):
+        panel = gen_design("design2", 300, 50, np.random.default_rng(7))
+        basis = build_basis(panel.data.x, BasisSpec(family="polynomial", J=12))
+        P = make_projector(basis)
+        assert svd_calls == [basis.values.shape]
+        _assert_matches_svd_oracle(P, basis.values, panel.data.y)
 
 
 class TestApply:

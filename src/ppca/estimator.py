@@ -2,10 +2,12 @@
 
 Factors come from the top eigenvectors of Y'PY or Y'Y, and ``_spectrum``
 alone decides how they are computed.  Y'PY = Z'Z with Z = Q'Y only m x T,
-so projected mode takes a thin SVD of Z and never forms a T x T matrix;
-plain mode takes the top K pairs of the T x T Gram matrix Y'Y by subspace
-iteration (``_top_eigh``), cheaper than a full eigh or an SVD of the p x T
-panel.  Loadings follow by least squares, Lambda_hat = Y F_hat / T; a projected fit
+so projected mode takes a thin SVD of Z and never forms a T x T matrix.
+Plain mode takes the top K pairs of Y'Y by subspace iteration, cheaper than
+a full eigh or an SVD of the p x T panel: at T >= p on Y itself, with the
+eigengap certified block by block (``_top_eigh_gram_free``), else, or when
+that cannot certify, on the T x T Gram matrix (``_top_eigh``).  Loadings
+follow by least squares, Lambda_hat = Y F_hat / T; a projected fit
 splits them into the projected part G_hat and the orthogonal remainder
 Gamma_hat.
 """
@@ -32,6 +34,7 @@ from .projection import Projector
 NEAR_TIE_RTOL = 1e-8
 SIGMA_FLOOR_REL = 1e-12
 TOP_EIGH_MAX_STEPS = 40
+GAP_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -127,13 +130,56 @@ def _top_eigh(g: np.ndarray, K: int):
     return np.linalg.eigh(g)
 
 
+def _top_eigh_gram_free(y: np.ndarray, K: int):
+    """``_top_eigh(y.T @ y, K)`` without the T x T Gram, or None when unsure.
+
+    The same iteration as ``_top_eigh`` (q = K + 5, seed-0 start, 1e-13 *
+    theta_1 residuals, rate cut-off) with W = Y'(YV).  The gap is certified
+    for any orthonormal V_K: lambda_{K+1}(Y'Y) <= ||Y (I - V_K V_K')||_2^2 <=
+    sum_b ||C_b'C_b||_F over ``GAP_BLOCKS`` column blocks C_b of that
+    residual, each formed alone from the rotated YV and a fraction of Y's
+    size (||C_b'C_b||_F = ||C_b C_b'||_F, so the smaller Gram is taken).
+    Returns None, for the Gram route to settle, when q >= T, the iteration
+    stalls or the bound does not clear theta_K / (1 + ``NEAR_TIE_RTOL``).
+    """
+    T = y.shape[1]
+    q = K + 5
+    if q >= T:
+        return None
+    w = y.T @ (y @ np.random.default_rng(0).standard_normal((T, q)))
+    for step in range(1, TOP_EIGH_MAX_STEPS + 1):
+        v, _ = np.linalg.qr(w)
+        yv = y @ v
+        w = y.T @ yv
+        theta, s = np.linalg.eigh(v.T @ w)
+        theta, s = theta[::-1], s[:, ::-1]
+        v, w = v @ s, w @ s
+        resid = np.linalg.norm(w[:, :K] - v[:, :K] * theta[:K], axis=0).max()
+        tol = 1e-13 * theta[0]
+        if resid <= tol:
+            yk, width, bound = yv @ s[:, :K], -(-T // GAP_BLOCKS), 0.0
+            for lo in range(0, T, width):
+                c = yk @ v[lo : lo + width, :K].T
+                np.subtract(y[:, lo : lo + width], c, out=c)
+                bound += np.linalg.norm(c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T)
+                del c  # so that one block at a time is alive
+            if bound * (1.0 + NEAR_TIE_RTOL) < theta[K - 1]:
+                return theta[: K + 1], v[:, : K + 1]
+            return None
+        rate = abs(theta[-1] / theta[K - 1]) if theta[K - 1] > 0 else 1.0
+        if resid * rate ** (TOP_EIGH_MAX_STEPS - step) > tol:
+            return None
+    return None
+
+
 def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
     """Eigenvalues of Y'PY (P given) or Y'Y, descending, and top-K eigenvectors.
 
     Returns ``(w, v)`` with ``v`` signs fixed (None for K = 0).  ``w`` holds
     all T = Y.shape[1] values, zero beyond the rank of Q'Y in projected mode,
     except in plain mode with K > 0: there only the leading K + 1, unless
-    ``_top_eigh`` fell back to the full ``eigh``.
+    ``_top_eigh`` fell back to the full ``eigh``.  That mode skips the T x T
+    Gram when T >= p and ``_top_eigh_gram_free`` certifies the gap.
     """
     T = y.shape[1]
     try:
@@ -141,7 +187,8 @@ def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
             _, s, vt = np.linalg.svd(P.q.T @ y, full_matrices=False)
             w, v = s**2, vt.T
         elif K:
-            w, v = _top_eigh(y.T @ y, K)
+            pairs = _top_eigh_gram_free(y, K) if T >= y.shape[0] else None
+            w, v = _top_eigh(y.T @ y, K) if pairs is None else pairs
         else:
             w, v = np.linalg.eigvalsh(y.T @ y), None
     except np.linalg.LinAlgError as exc:

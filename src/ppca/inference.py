@@ -8,8 +8,9 @@ since the projection is not meaningful under that null.  Conversely
 the number of factors as the argmax of adjacent eigenvalue ratios of
 Y'PY or Y'Y.  All spectra come from ``estimator._spectrum``: the
 projected one from the singular values of the m x T matrix Q'Y, the
-plain one from the T x T Gram matrix Y'Y, in full for ``select_k`` and
-only its top K pairs, by subspace iteration, for ``test_g_zero``.
+plain one in full from the T x T Gram matrix Y'Y for ``select_k``, and
+only its top K pairs, by subspace iteration, for ``test_g_zero``; at
+T >= p that iteration runs on Y itself and forms no T x T matrix.
 
 The p-values use ``math`` alone: ``_normal_sf`` is the normal upper tail and
 ``_chi2_sf`` the chi-square one, Q(df/2, x/2) (Numerical Recipes 6.2).  The

@@ -25,7 +25,7 @@ from .estimator import align_columns, fit_projected_pca, fit_regular_pca
 from .exceptions import InvalidSpecError, PpcaError
 from .inference import select_k
 from .projection import make_projector
-from .simulate import DESIGNS, check_shape, gen_design
+from .simulate import DESIGN_K, DESIGNS, check_shape, gen_design
 
 METHODS = ("projected_pca", "regular_pca", "sieve_ls_known_factors")
 SELECT_K_METHODS = ("select_k_projected", "select_k_plain")
@@ -46,7 +46,8 @@ class Scenario:
     """Configuration of one Monte Carlo experiment.
 
     Every replication fits cubic B-splines with J = ``basis.default_J(p, T, d)``;
-    every (p, T) cell must be one the design can draw and that basis can fit.
+    every (p, T) cell must be one the design can draw and that basis can fit,
+    and K must be the design's factor count, below every T.
     """
 
     design: str = "design2"
@@ -80,6 +81,10 @@ class Scenario:
             for T in self.t_grid:
                 d = check_shape(self.design, p, T)
                 BasisSpec(J=default_J(p, T, d)).check_rows(p, d)
+        if self.k != DESIGN_K:  # the truths the errors are measured against have DESIGN_K columns
+            raise InvalidSpecError(f"K must be {self.design}'s factor count {DESIGN_K}, got {self.k}")
+        if min(self.t_grid) <= self.k:  # every fit needs K < T
+            raise InvalidSpecError(f"T_grid entries must exceed K={self.k}: {list(self.t_grid)}")
 
     def to_dict(self) -> dict:
         values = {key: getattr(self, attr) for key, attr in _SCENARIO_KEYS}

@@ -26,6 +26,7 @@ import numpy as np
 from .estimator import PanelData, identification_transform
 from .exceptions import InvalidSpecError
 
+DESIGN_K = 3  # the factor count of every design
 # covariates d, least p and least T of each design: its K = 3 truths need G'G and F'F nonsingular
 DESIGN_SHAPES = {"design2": (1, 4, 3), "calibrated": (4, 3, 3)}
 DESIGNS = tuple(DESIGN_SHAPES)
@@ -155,7 +156,7 @@ def gen_design2(p: int, T: int, rng=None, seed: int | None = None) -> SimulatedP
         f_true=f0,
         g_true=g0,
         gamma_true=np.zeros_like(g0),
-        k_true=3,
+        k_true=DESIGN_K,
     )
 
 

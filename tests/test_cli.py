@@ -339,6 +339,21 @@ class TestBenchmark:
         assert err.startswith("error: design2 needs p >= 4") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        # every fit refuses K >= T, so each cell would record only KTooLargeError
+        ({"T_grid": [3], "K": 3}, "T_grid entries must exceed K=3: [3]"),
+        # both designs draw three factors, so a K = 9 fit cannot be aligned with them
+        ({"T_grid": [10], "K": 9}, "K must be design2's factor count 3, got 9"),
+    ], ids=["T_not_above_K", "K_not_the_designs"])
+    def test_k_the_cells_cannot_use_exits_2(self, tmp_path, capsys, bad, message):
+        path, out = tmp_path / "scen.json", tmp_path / "bench"
+        path.write_text(json.dumps({"design": "design2", "p_grid": [40], "n_reps": 2,
+                                    "methods": ["projected_pca", "regular_pca"], **bad}))
+        assert main(["benchmark", "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
+        assert not out.exists()
+
 
 def test_cli_import_skips_scipy_stats():
     # a fresh interpreter that imports the same ppca as this test run

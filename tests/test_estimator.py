@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppca import estimator
 from ppca.basis import BasisSpec, build_basis
 from ppca.estimator import (
     SIGMA_FLOOR_REL,
     PanelData,
     _residual_variances,
     _top_eigh,
+    _top_eigh_gram_free,
     align_columns,
     fit_projected_pca,
     fit_regular_pca,
@@ -219,6 +221,72 @@ class TestRegularPcaGramOracle:
         np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-10)
         # inside the tied pair the second factor is not determined
         np.testing.assert_allclose(f_hat[:, 0], f_ref[:, 0], rtol=0, atol=1e-10)
+
+
+def _factor_panel(rng, p, T, K, noise=0.1):
+    """Exact rank-K signal with singular values 30, 20, 10, ... plus N(0, noise^2) entries."""
+    u = np.linalg.qr(rng.standard_normal((p, K)))[0]
+    vt = np.linalg.qr(rng.standard_normal((T, K)))[0].T
+    return u @ np.diag(10.0 * np.arange(K + 1, 1, -1)) @ vt + noise * rng.standard_normal((p, T))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(estimator, name)
+    monkeypatch.setattr(estimator, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestGramFreeRegularPca:
+    """At T >= p plain-mode K > 0 pairs come from Y itself, certified, with ``_top_eigh`` as fallback."""
+
+    @pytest.mark.parametrize("case, K", [
+        ("design2_square", 3),  # p = T
+        ("design2_long", 3),
+        ("factor_square", 2),
+        ("factor_narrow", 3),  # p = 6 <= q = K + 5 < T
+        ("factor_tiny", 2),  # p = 5 <= q = 7 < T = 12
+    ])
+    def test_matches_gram_route(self, rng, case, K):
+        y = {
+            "design2_square": lambda: gen_design2(200, 200, seed=3).data.y,
+            "design2_long": lambda: gen_design2(100, 400, seed=4).data.y,
+            "factor_square": lambda: _factor_panel(rng, 30, 30, K),
+            "factor_narrow": lambda: _factor_panel(rng, 6, 50, K),
+            "factor_tiny": lambda: _factor_panel(rng, 5, 12, K),
+        }[case]()
+        pairs = _top_eigh_gram_free(y, K)
+        assert pairs is not None  # the gap was certified
+        w_ref, v_ref = _top_eigh(y.T @ y, K)
+        order = np.argsort(w_ref)[::-1][: K + 1]
+        w, v = pairs
+        np.testing.assert_allclose(w[:K], w_ref[order[:K]], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            fix_signs(v[:, :K]), fix_signs(v_ref[:, order[:K]]), rtol=0, atol=1e-12
+        )
+        _, _, eigvals = fit_regular_pca(y, K)
+        np.testing.assert_allclose(eigvals, w_ref[order[:K]] / y.shape[1], rtol=1e-12, atol=0)
+
+    def test_near_tie_falls_back_and_warns(self, rng, monkeypatch):
+        u = np.linalg.qr(rng.standard_normal((30, 4)))[0]
+        vt = np.linalg.qr(rng.standard_normal((40, 4)))[0].T
+        y = u @ np.diag([3.0, 2.0, 2.0 * (1 - 1e-12), 1.0]) @ vt  # T >= p, sigma_2 ~ sigma_3
+        assert _top_eigh_gram_free(y, 2) is None  # the bound cannot clear a tie
+        calls = _count_calls(monkeypatch, "_top_eigh")
+        with pytest.warns(NearTieWarning):
+            f_hat, _, eigvals = fit_regular_pca(y, 2)
+        assert len(calls) == 1
+        f_ref, eig_ref = _gram_eigh_reference(y, 2)
+        np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-10)
+        np.testing.assert_allclose(f_hat[:, 0], f_ref[:, 0], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("p, T, gram_free", [(300, 600, True), (200, 200, True), (600, 300, False)])
+    def test_route_follows_shape(self, monkeypatch, p, T, gram_free):
+        y = gen_design2(p, T, seed=5).data.y
+        free_calls = _count_calls(monkeypatch, "_top_eigh_gram_free")
+        gram_calls = _count_calls(monkeypatch, "_top_eigh")
+        fit_regular_pca(y, 3)
+        assert (len(free_calls), len(gram_calls)) == ((1, 0) if gram_free else (0, 1))
 
 
 @st.composite

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppca.basis import BasisSpec, build_basis
-from ppca.estimator import PanelData, _residual_variances, fit_projected_pca
+from ppca.estimator import PanelData, _residual_variances, fit_projected_pca, fit_regular_pca
 from ppca.exceptions import (
     BoundaryWarning,
     InvalidSpecError,
@@ -179,14 +179,29 @@ class TestGammaZero:
             inference.test_gamma_zero(data, P, 3, sigma_u=sigma_u(data.p))
 
 
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPeakMemory:
-    """No step after reading Y allocates a p x T array."""
+    """No step after reading Y allocates a p x T array, nor a T x T one at T >= p."""
 
     @pytest.fixture(scope="class")
     def wide(self):
         data = gen_design2(4000, 200, seed=6).data
         P = make_projector(build_basis(data.x, BasisSpec(J=8)))
         return data, P, fit_projected_pca(data, P, 3).f_hat
+
+    @pytest.fixture(scope="class")
+    def long(self):
+        # the T x T Gram alone would be 2 * Y.nbytes
+        data = gen_design2(300, 600, seed=6).data
+        return data, make_projector(build_basis(data.x, BasisSpec(J=8)))
 
     @pytest.mark.parametrize("step", ["sigma_u", "fit_projected", "test_g", "test_gamma"])
     def test_peak_below_quarter_of_y(self, wide, step):
@@ -197,12 +212,17 @@ class TestPeakMemory:
             "test_g": lambda: inference.test_g_zero(data, P, 3),
             "test_gamma": lambda: inference.test_gamma_zero(data, P, 3),
         }[step]
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(run)
+        assert peak < 0.25 * data.y.nbytes, peak / data.y.nbytes
+
+    @pytest.mark.parametrize("step", ["fit_regular", "test_g"])
+    def test_long_peak_below_quarter_of_y(self, long, step):
+        data, P = long
+        run = {
+            "fit_regular": lambda: fit_regular_pca(data.y, 3),
+            "test_g": lambda: inference.test_g_zero(data, P, 3),
+        }[step]
+        peak = _traced_peak(run)
         assert peak < 0.25 * data.y.nbytes, peak / data.y.nbytes
 
 

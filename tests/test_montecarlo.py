@@ -47,9 +47,10 @@ class TestScenario:
 
     @pytest.mark.parametrize("design, p_ok, p_bad, T_ok, T_bad", [
         # design 2 draws p >= 4 and T >= 3, and at p = 5 its J = 4 basis has 5 columns;
-        # the calibrated design's J = 4 basis has 4 * 4 + 1 = 17 columns
-        ("design2", 6, 5, 3, 2),
-        ("calibrated", 18, 17, 3, 2),
+        # the calibrated design's J = 4 basis has 4 * 4 + 1 = 17 columns; a fit of
+        # K = 3 factors needs T >= 4
+        ("design2", 6, 5, 4, 2),
+        ("calibrated", 18, 17, 4, 2),
     ])
     def test_cells_the_design_cannot_draw_rejected(self, design, p_ok, p_bad, T_ok, T_bad):
         Scenario(design=design, p_grid=(p_ok,), t_grid=(T_ok,))

@@ -6,12 +6,15 @@
 Each revision runs from a ``git archive`` in a temporary directory for its own ``BENCHMARK.json``
 ``run_seconds``; round i rotates the side order by i.  Each run's environment and result lines are
 appended to ``--out`` as printed; a run that exits non-zero or ends without a result stops the runner.
-At the end it prints, per side, the median of each end-to-end metric over all runs of the workload
-in ``--out``, earlier ones included.
+At the end it prints, per side, the median of each metric over all runs of the workload in ``--out``,
+earlier ones included.  For each side after the first one recorded (the parent, when it is the first
+``--rev``), it prints per end-to-end metric of ``BENCHMARK.json`` how many seed-matched pairs that side
+won against the first, and the first side's interquartile range.
 """
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -57,16 +60,37 @@ def main(argv=None):
                              "trace": args.trace, "environment": env, "result": lines[-1]})
                 print(side, seed, lines[-1], flush=True)
                 args.out.write_text(json.dumps(runs, indent=1, ensure_ascii=False) + "\n")
-    by_side = {}
+    summarise(runs, args.workload)
+
+
+def summarise(runs, workload):
+    """Per side, the median of each metric; per later side, its wins over the first side and that side's IQR."""
+    spec = json.loads(Path(__file__).resolve().parents[1].joinpath("BENCHMARK.json").read_text())
+    by_side = {}  # side -> metric -> seed -> values
     for run in runs:
-        if run["workload"] == args.workload:
-            metrics = json.loads(run["result"])["metrics"]
-            for name, metric in metrics.items():
-                by_side.setdefault(run["side"], {}).setdefault(name, []).append(metric["value"])
-    for side, metrics in by_side.items():
+        if run["workload"] == workload:
+            for name, metric in json.loads(run["result"])["metrics"].items():
+                seeds = by_side.setdefault(run["side"], {}).setdefault(name, {})
+                seeds.setdefault(run["seed"], []).append(metric["value"])
+    values = {side: {name: sum(seeds.values(), []) for name, seeds in metrics.items()}
+              for side, metrics in by_side.items()}
+    for side, metrics in values.items():
         n = len(next(iter(metrics.values())))
-        print(f"median of {n} {args.workload} runs, {side}:",
+        print(f"median of {n} {workload} runs, {side}:",
               " ".join(f"{name}={statistics.median(v):.6g}" for name, v in metrics.items()))
+    base, *others = by_side or [None]
+    for side in others:
+        parts = []
+        for metric in spec["end_to_end"]:
+            name, lower = metric["name"], metric["better"] == "lower"
+            ref, new = by_side[base].get(name, {}), by_side[side].get(name, {})
+            seeds = sorted(ref.keys() & new.keys())
+            gains = [statistics.median(ref[s]) - statistics.median(new[s]) for s in seeds]
+            won = sum(g > 0 if lower else g < 0 for g in gains)
+            v = values[base].get(name, [])
+            q1, _, q3 = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else [math.nan] * 3
+            parts.append(f"{name} won {won}/{len(seeds)} ({base} IQR {q1:.6g}-{q3:.6g}, {q3 - q1:.3g})")
+        print(f"{side} against {base} over seed-matched pairs:", "; ".join(parts))
 
 
 if __name__ == "__main__":

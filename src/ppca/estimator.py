@@ -168,7 +168,7 @@ def _top_eigh_gram_free(y: np.ndarray, K: int):
             return None
         rate = abs(theta[-1] / theta[K - 1]) if theta[K - 1] > 0 else 1.0
         if resid * rate ** (TOP_EIGH_MAX_STEPS - step) > tol:
-            return None
+            break
     return None
 
 

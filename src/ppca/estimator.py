@@ -3,13 +3,13 @@
 Factors come from the top eigenvectors of Y'PY or Y'Y, and ``_spectrum``
 alone decides how they are computed.  Y'PY = Z'Z with Z = Q'Y only m x T,
 so projected mode takes a thin SVD of Z and never forms a T x T matrix.
-Plain mode takes the top K pairs of Y'Y by subspace iteration, cheaper than
-a full eigh or an SVD of the p x T panel: at T >= p on Y itself, with the
-eigengap certified block by block (``_top_eigh_gram_free``), else, or when
-that cannot certify, on the T x T Gram matrix (``_top_eigh``).  Loadings
-follow by least squares, Lambda_hat = Y F_hat / T; a projected fit
-splits them into the projected part G_hat and the orthogonal remainder
-Gamma_hat.
+Plain mode takes the top K pairs of Y'Y by one subspace iteration
+(``_top_eigh``), cheaper than a full eigh or an SVD of the p x T panel; it
+applies Y'Y through the T x T Gram when T < p and as Y'(YV) otherwise, so at
+T >= p no T x T matrix is formed unless the iteration falls back to a full
+eigh.  Loadings follow by least squares, Lambda_hat = Y F_hat / T; a
+projected fit splits them into the projected part G_hat and the orthogonal
+remainder Gamma_hat.
 """
 
 from __future__ import annotations
@@ -98,88 +98,69 @@ def fix_signs(V: np.ndarray) -> np.ndarray:
     return V * _column_signs(V)
 
 
-def _top_eigh(g: np.ndarray, K: int):
-    """The K + 1 leading Ritz pairs of the symmetric PSD g, or its full ``eigh``.
+def _top_eigh(y: np.ndarray, K: int):
+    """The K + 1 leading Ritz pairs of Y'Y, or the full ``eigh`` of its Gram.
 
     Block subspace iteration with Rayleigh-Ritz (Saad, ch. 5) on q = K + 5
     columns from a fixed-seed start, until the first K residuals are at most
-    1e-13 * theta_1 and lambda_{K+1} is settled for the near-tie check: bounded
-    (Courant-Fischer) by the Frobenius norm of g minus its top-K Ritz part, or
-    converged too.  Falls back to ``eigh`` when q >= g.shape[0], at the step
-    cap, or once the rate theta_q / theta_K shows the cap cannot be met.
+    1e-13 * theta_1 and lambda_{K+1} is settled for the near-tie check:
+    bounded below theta_K / (1 + ``NEAR_TIE_RTOL``), or converged too.  The
+    shape picks how Y'Y V is applied: by the T x T Gram G when T < p, else as
+    Y'(YV).  lambda_{K+1} is bounded (Courant-Fischer) by ||G - V_K Theta V_K'||_F
+    with G, and without it by ||Y (I - V_K V_K')||_2^2 <= sum_b ||C_b'C_b||_F
+    over ``GAP_BLOCKS`` column blocks C_b of that residual, each formed alone
+    from the rotated YV and a fraction of Y's size (||C_b'C_b||_F =
+    ||C_b C_b'||_F, so the smaller Gram is taken).  Falls back to ``eigh`` of
+    the Gram when q >= T, at the step cap, or once the rate theta_q / theta_n
+    shows the cap cannot be met.
     """
+    T = y.shape[1]
+    g = y.T @ y if T < y.shape[0] else None
     q = K + 5
-    if q < g.shape[0]:
-        w = g @ np.random.default_rng(0).standard_normal((g.shape[0], q))
+    if q < T:
+        w = np.random.default_rng(0).standard_normal((T, q))
+        w = y.T @ (y @ w) if g is None else g @ w
         n = K  # pairs whose residuals must converge
         for step in range(1, TOP_EIGH_MAX_STEPS + 1):
             v, _ = np.linalg.qr(w)
-            w = g @ v
+            if g is None:
+                yv = y @ v
+                w = y.T @ yv
+            else:
+                w = g @ v
             theta, s = np.linalg.eigh(v.T @ w)
-            theta, v, w = theta[::-1], v @ s[:, ::-1], w @ s[:, ::-1]
+            theta, s = theta[::-1], s[:, ::-1]
+            v, w = v @ s, w @ s
             resid = np.linalg.norm(w[:, : K + 1] - v[:, : K + 1] * theta[: K + 1], axis=0)
             tol = 1e-13 * theta[0]
             if n == K and resid[:K].max() <= tol:
-                bound = np.linalg.norm(g - (v[:, :K] * theta[:K]) @ v[:, :K].T)
+                if g is not None:
+                    bound = np.linalg.norm(g - (v[:, :K] * theta[:K]) @ v[:, :K].T)
+                else:
+                    yk, width, bound = yv @ s[:, :K], -(-T // GAP_BLOCKS), 0.0
+                    for lo in range(0, T, width):
+                        c = yk @ v[lo : lo + width, :K].T
+                        np.subtract(y[:, lo : lo + width], c, out=c)
+                        bound += np.linalg.norm(c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T)
+                        del c  # so that one block at a time is alive
                 n = K if bound * (1.0 + NEAR_TIE_RTOL) < theta[K - 1] else K + 1
             if resid[:n].max() <= tol:
                 return theta[: K + 1], v[:, : K + 1]
             rate = abs(theta[-1] / theta[n - 1]) if theta[n - 1] > 0 else 1.0
             if resid[:n].max() * rate ** (TOP_EIGH_MAX_STEPS - step) > tol:
                 break
-    return np.linalg.eigh(g)
-
-
-def _top_eigh_gram_free(y: np.ndarray, K: int):
-    """``_top_eigh(y.T @ y, K)`` without the T x T Gram, or None when unsure.
-
-    The same iteration as ``_top_eigh`` (q = K + 5, seed-0 start, 1e-13 *
-    theta_1 residuals, rate cut-off) with W = Y'(YV).  The gap is certified
-    for any orthonormal V_K: lambda_{K+1}(Y'Y) <= ||Y (I - V_K V_K')||_2^2 <=
-    sum_b ||C_b'C_b||_F over ``GAP_BLOCKS`` column blocks C_b of that
-    residual, each formed alone from the rotated YV and a fraction of Y's
-    size (||C_b'C_b||_F = ||C_b C_b'||_F, so the smaller Gram is taken).
-    Returns None, for the Gram route to settle, when q >= T, the iteration
-    stalls or the bound does not clear theta_K / (1 + ``NEAR_TIE_RTOL``).
-    """
-    T = y.shape[1]
-    q = K + 5
-    if q >= T:
-        return None
-    w = y.T @ (y @ np.random.default_rng(0).standard_normal((T, q)))
-    for step in range(1, TOP_EIGH_MAX_STEPS + 1):
-        v, _ = np.linalg.qr(w)
-        yv = y @ v
-        w = y.T @ yv
-        theta, s = np.linalg.eigh(v.T @ w)
-        theta, s = theta[::-1], s[:, ::-1]
-        v, w = v @ s, w @ s
-        resid = np.linalg.norm(w[:, :K] - v[:, :K] * theta[:K], axis=0).max()
-        tol = 1e-13 * theta[0]
-        if resid <= tol:
-            yk, width, bound = yv @ s[:, :K], -(-T // GAP_BLOCKS), 0.0
-            for lo in range(0, T, width):
-                c = yk @ v[lo : lo + width, :K].T
-                np.subtract(y[:, lo : lo + width], c, out=c)
-                bound += np.linalg.norm(c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T)
-                del c  # so that one block at a time is alive
-            if bound * (1.0 + NEAR_TIE_RTOL) < theta[K - 1]:
-                return theta[: K + 1], v[:, : K + 1]
-            return None
-        rate = abs(theta[-1] / theta[K - 1]) if theta[K - 1] > 0 else 1.0
-        if resid * rate ** (TOP_EIGH_MAX_STEPS - step) > tol:
-            break
-    return None
+    return np.linalg.eigh(y.T @ y if g is None else g)
 
 
 def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
     """Eigenvalues of Y'PY (P given) or Y'Y, descending, and top-K eigenvectors.
 
     Returns ``(w, v)`` with ``v`` signs fixed (None for K = 0).  ``w`` holds
-    all T = Y.shape[1] values, zero beyond the rank of Q'Y in projected mode,
-    except in plain mode with K > 0: there only the leading K + 1, unless
-    ``_top_eigh`` fell back to the full ``eigh``.  That mode skips the T x T
-    Gram when T >= p and ``_top_eigh_gram_free`` certifies the gap.
+    all T = Y.shape[1] values, zero beyond the rank of Q'Y in projected mode
+    and beyond min(p, T) in plain mode with K = 0, which takes them from the
+    smaller of the Grams Y'Y and YY' (they share their nonzero eigenvalues).
+    Plain mode with K > 0 holds only the leading K + 1 from ``_top_eigh``,
+    unless it fell back to the full ``eigh``.
     """
     T = y.shape[1]
     try:
@@ -187,10 +168,10 @@ def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
             _, s, vt = np.linalg.svd(P.q.T @ y, full_matrices=False)
             w, v = s**2, vt.T
         elif K:
-            pairs = _top_eigh_gram_free(y, K) if T >= y.shape[0] else None
-            w, v = _top_eigh(y.T @ y, K) if pairs is None else pairs
+            w, v = _top_eigh(y, K)
         else:
-            w, v = np.linalg.eigvalsh(y.T @ y), None
+            w = np.linalg.eigvalsh(y @ y.T if T >= y.shape[0] else y.T @ y)
+            w, v = np.concatenate([w, np.zeros(T - w.size)]), None
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigendecomposition failed: {exc}") from exc
     if not np.all(np.isfinite(w)):  # s**2 overflows on a panel near the float range

@@ -1,16 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppca import estimator
 from ppca.basis import BasisSpec, build_basis
 from ppca.estimator import (
+    NEAR_TIE_RTOL,
     SIGMA_FLOOR_REL,
     PanelData,
     _residual_variances,
     _top_eigh,
-    _top_eigh_gram_free,
     align_columns,
     fit_projected_pca,
     fit_regular_pca,
@@ -200,7 +201,7 @@ class TestRegularPcaGramOracle:
             "tiny_wide": lambda: rng.standard_normal((4, 3)),
             "tiny_tall": lambda: rng.standard_normal((3, 4)),
         }[case]()
-        assert _top_eigh(y.T @ y, K)[0].size == n_values
+        assert _top_eigh(y, K)[0].size == n_values
         f_hat, _, eigvals = fit_regular_pca(y, K)
         f_ref, eig_ref = _gram_eigh_reference(y, K)
         np.testing.assert_allclose(f_hat, f_ref, rtol=0, atol=1e-10)
@@ -214,7 +215,7 @@ class TestRegularPcaGramOracle:
         vt = np.linalg.qr(rng.standard_normal((30, 4)))[0].T
         y = u @ np.diag([3.0, 2.0, 2.0, 1.0]) @ vt  # Y'Y eigenvalues 2 and 3 tie
         # the tie defeats the gap bound, so pair K + 1 is iterated to convergence
-        assert _top_eigh(y.T @ y, 2)[0].size == 3
+        assert _top_eigh(y, 2)[0].size == 3
         with pytest.warns(NearTieWarning):
             f_hat, _, eigvals = fit_regular_pca(y, 2)
         f_ref, eig_ref = _gram_eigh_reference(y, 2)
@@ -230,15 +231,24 @@ def _factor_panel(rng, p, T, K, noise=0.1):
     return u @ np.diag(10.0 * np.arange(K + 1, 1, -1)) @ vt + noise * rng.standard_normal((p, T))
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    real = getattr(estimator, name)
-    monkeypatch.setattr(estimator, name, lambda *args: calls.append(args) or real(*args))
-    return calls
+def _top_eigh_with_bound(monkeypatch, y, K):
+    """``_top_eigh(y, K)``, its gap bound, and whether it returned on the step that took the bound.
+
+    Its column norms are Ritz residuals and its whole-matrix norms the terms
+    of the gap bound, which is taken once.
+    """
+    calls, real = [], np.linalg.norm
+    monkeypatch.setattr(
+        np.linalg, "norm",
+        lambda a, *args, **kw: calls.append(("axis" in kw, real(a, *args, **kw))) or calls[-1][1],
+    )
+    w, v = _top_eigh(y, K)
+    monkeypatch.undo()
+    return w, v, sum(value for over_columns, value in calls if not over_columns), not calls[-1][0]
 
 
 class TestGramFreeRegularPca:
-    """At T >= p plain-mode K > 0 pairs come from Y itself, certified, with ``_top_eigh`` as fallback."""
+    """At T >= p plain-mode K > 0 pairs come from Y itself, with the gap certified block by block."""
 
     @pytest.mark.parametrize("case, K", [
         ("design2_square", 3),  # p = T
@@ -247,7 +257,7 @@ class TestGramFreeRegularPca:
         ("factor_narrow", 3),  # p = 6 <= q = K + 5 < T
         ("factor_tiny", 2),  # p = 5 <= q = 7 < T = 12
     ])
-    def test_matches_gram_route(self, rng, case, K):
+    def test_matches_gram_route(self, rng, monkeypatch, case, K):
         y = {
             "design2_square": lambda: gen_design2(200, 200, seed=3).data.y,
             "design2_long": lambda: gen_design2(100, 400, seed=4).data.y,
@@ -255,38 +265,39 @@ class TestGramFreeRegularPca:
             "factor_narrow": lambda: _factor_panel(rng, 6, 50, K),
             "factor_tiny": lambda: _factor_panel(rng, 5, 12, K),
         }[case]()
-        pairs = _top_eigh_gram_free(y, K)
-        assert pairs is not None  # the gap was certified
-        w_ref, v_ref = _top_eigh(y.T @ y, K)
-        order = np.argsort(w_ref)[::-1][: K + 1]
-        w, v = pairs
-        np.testing.assert_allclose(w[:K], w_ref[order[:K]], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(
-            fix_signs(v[:, :K]), fix_signs(v_ref[:, order[:K]]), rtol=0, atol=1e-12
-        )
+        w, v, bound, stopped_at_bound = _top_eigh_with_bound(monkeypatch, y, K)
+        assert w.size == K + 1 and bound * (1.0 + NEAR_TIE_RTOL) < w[K - 1]  # the gap was certified
+        assert stopped_at_bound  # so pair K + 1 was not iterated on
+        T = y.shape[1]
+        f_ref, eig_ref = _gram_eigh_reference(y, K)
+        np.testing.assert_allclose(w[:K] / T, eig_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.sqrt(T) * fix_signs(v[:, :K]), f_ref, rtol=0, atol=1e-12 * np.sqrt(T))
         _, _, eigvals = fit_regular_pca(y, K)
-        np.testing.assert_allclose(eigvals, w_ref[order[:K]] / y.shape[1], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-12, atol=0)
 
     def test_near_tie_falls_back_and_warns(self, rng, monkeypatch):
         u = np.linalg.qr(rng.standard_normal((30, 4)))[0]
         vt = np.linalg.qr(rng.standard_normal((40, 4)))[0].T
         y = u @ np.diag([3.0, 2.0, 2.0 * (1 - 1e-12), 1.0]) @ vt  # T >= p, sigma_2 ~ sigma_3
-        assert _top_eigh_gram_free(y, 2) is None  # the bound cannot clear a tie
-        calls = _count_calls(monkeypatch, "_top_eigh")
+        w, _, bound, _ = _top_eigh_with_bound(monkeypatch, y, 2)
+        # the bound cannot clear a tie, so pair K + 1 is iterated to convergence, with no full eigh
+        assert w.size == 3 and bound * (1.0 + NEAR_TIE_RTOL) >= w[1]
         with pytest.warns(NearTieWarning):
             f_hat, _, eigvals = fit_regular_pca(y, 2)
-        assert len(calls) == 1
         f_ref, eig_ref = _gram_eigh_reference(y, 2)
         np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-10)
         np.testing.assert_allclose(f_hat[:, 0], f_ref[:, 0], rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("p, T, gram_free", [(300, 600, True), (200, 200, True), (600, 300, False)])
-    def test_route_follows_shape(self, monkeypatch, p, T, gram_free):
+    def test_route_follows_shape(self, p, T, gram_free):
         y = gen_design2(p, T, seed=5).data.y
-        free_calls = _count_calls(monkeypatch, "_top_eigh_gram_free")
-        gram_calls = _count_calls(monkeypatch, "_top_eigh")
-        fit_regular_pca(y, 3)
-        assert (len(free_calls), len(gram_calls)) == ((1, 0) if gram_free else (0, 1))
+        tracemalloc.start()
+        try:
+            fit_regular_pca(y, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak < 8 * T * T) == gram_free, peak  # the T x T Gram alone takes 8 T^2 bytes
 
 
 @st.composite
@@ -315,7 +326,7 @@ class TestSignsAcrossSolvers:
     @settings(max_examples=60, deadline=None)
     def test_iteration_and_eigh_agree_on_signs(self, panel):
         y, K = panel
-        w, v = _top_eigh(y.T @ y, K)
+        w, v = _top_eigh(y, K)
         assert w.size == K + 1  # the iteration route, not its eigh fallback
         order = np.argsort(w)[::-1][:K]
         _, ref = np.linalg.eigh(y.T @ y)

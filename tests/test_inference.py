@@ -225,6 +225,20 @@ class TestPeakMemory:
         peak = _traced_peak(run)
         assert peak < 0.25 * data.y.nbytes, peak / data.y.nbytes
 
+    def test_long_uncertified_fit_below_quarter_of_y(self, rng):
+        # sigma_2 ~ sigma_3 keeps the gap bound from clearing, so pair K + 1 is iterated on Y itself
+        u = np.linalg.qr(rng.standard_normal((300, 4)))[0]
+        vt = np.linalg.qr(rng.standard_normal((600, 4)))[0].T
+        y = u @ np.diag([300.0, 200.0, 200.0, 100.0]) @ vt + 1e-3 * rng.standard_normal((300, 600))
+        peak = _traced_peak(lambda: fit_regular_pca(y, 2))
+        assert peak < 0.25 * y.nbytes, peak / y.nbytes
+
+    def test_long_plain_select_k_below_y(self, long):
+        data, _ = long
+        peak = _traced_peak(lambda: select_k(data.y, None, 12))
+        # the p x p Gram is Y.nbytes / 2 here, the T x T one 2 * Y.nbytes
+        assert peak < 0.75 * data.y.nbytes, peak / data.y.nbytes
+
 
 class TestSelectK:
     def test_exact_low_rank(self, rng):
@@ -246,6 +260,14 @@ class TestSelectK:
         res = select_k(data.y, P, 8)  # k_max = 3: four eigenvalues
         oracle = np.maximum(w[:4], 1e-12 * w[0])
         np.testing.assert_allclose(res.eigenvalues, oracle, rtol=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::ppca.exceptions.BoundaryWarning")
+    @pytest.mark.parametrize("p, T", [(120, 40), (40, 120), (40, 40), (5, 30)])
+    def test_plain_gram_eigh_oracle(self, p, T):
+        y = gen_design2(p, T, seed=7).data.y
+        res = select_k(y, None, 12)  # k_max = 5: six eigenvalues, past p = 5 in the last case
+        w = np.linalg.eigvalsh(y.T @ y)[::-1][:6]
+        np.testing.assert_allclose(res.eigenvalues, np.maximum(w, 1e-12 * w[0]), rtol=1e-12)
 
     def test_scale_free(self, rng):
         panel = gen_design2(80, 25, seed=5)

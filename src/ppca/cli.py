@@ -1,7 +1,7 @@
 """Command-line interface: fit, test, simulate, benchmark.
 
-Exit codes: 0 on success, 2 for malformed input or configuration, 3 for
-numerical failure.
+Exit codes: 0 on success, 2 for malformed input or configuration or an
+unusable path, 3 for numerical failure.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (PpcaError, FileNotFoundError) as exc:
+    except (PpcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

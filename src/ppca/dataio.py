@@ -39,6 +39,16 @@ def write_matrix(path, M: np.ndarray, header=None) -> None:
     write_csv(path, header, iter(M.tolist()))
 
 
+def _read_text(path: Path, encoding: str) -> str:
+    """The text of ``path``; a missing or undecodable file raises ``InputError`` naming it."""
+    try:
+        return path.read_text(encoding=encoding)
+    except FileNotFoundError as exc:
+        raise InputError(f"file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not {encoding} text: {exc}") from exc
+
+
 def read_matrix(path):
     """Read a CSV matrix, tolerating an optional single header row.
 
@@ -47,9 +57,7 @@ def read_matrix(path):
     non-ASCII digits.  Errors count rows from 1 after the header.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"file not found: {path}")
-    text = path.read_text(encoding="utf-8-sig").strip()  # a BOM would make row 1 a header
+    text = _read_text(path, "utf-8-sig").strip()  # a BOM would make row 1 a header
     if not text:
         raise InputError(f"empty file: {path}")
     lines = text.splitlines()
@@ -78,10 +86,8 @@ def read_matrix(path):
 def read_json_object(path) -> dict:
     """Read a JSON config or spec file that must hold one object; errors name the file."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"file not found: {path}")
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(_read_text(path, "utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -32,7 +32,7 @@ from .exceptions import (
 from .projection import Projector
 
 NEAR_TIE_RTOL = 1e-8
-SIGMA_FLOOR_REL = 1e-12
+FLOOR_REL = 1e-12  # below this share of the largest, an eigenvalue or variance counts as zero
 TOP_EIGH_MAX_STEPS = 40
 GAP_BLOCKS = 8
 
@@ -156,11 +156,11 @@ def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
     """Eigenvalues of Y'PY (P given) or Y'Y, descending, and top-K eigenvectors.
 
     Returns ``(w, v)`` with ``v`` signs fixed (None for K = 0).  ``w`` holds
-    all T = Y.shape[1] values, zero beyond the rank of Q'Y in projected mode
-    and beyond min(p, T) in plain mode with K = 0, which takes them from the
-    smaller of the Grams Y'Y and YY' (they share their nonzero eigenvalues).
-    Plain mode with K > 0 holds only the leading K + 1 from ``_top_eigh``,
-    unless it fell back to the full ``eigh``.
+    T = Y.shape[1] values, padded with zeros past those computed: the rank of
+    Q'Y in projected mode, min(p, T) in plain mode with K = 0, which takes
+    them from the smaller of the Grams Y'Y and YY' (they share their nonzero
+    eigenvalues), and in plain mode with K > 0 the leading K + 1 from
+    ``_top_eigh``, unless it fell back to the full ``eigh``.
     """
     T = y.shape[1]
     try:
@@ -170,14 +170,13 @@ def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
         elif K:
             w, v = _top_eigh(y, K)
         else:
-            w = np.linalg.eigvalsh(y @ y.T if T >= y.shape[0] else y.T @ y)
-            w, v = np.concatenate([w, np.zeros(T - w.size)]), None
+            w, v = np.linalg.eigvalsh(y @ y.T if T >= y.shape[0] else y.T @ y), None
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigendecomposition failed: {exc}") from exc
     if not np.all(np.isfinite(w)):  # s**2 overflows on a panel near the float range
         raise EigenFailureError("eigenvalues are not finite; rescale the panel")
     order = np.argsort(w)[::-1]
-    w = w[order] if P is None else np.concatenate([w[order], np.zeros(T - w.size)])
+    w = np.concatenate([w[order], np.zeros(T - w.size)])
     if 0 < K < T and w[K] > 0 and w[K - 1] / w[K] < 1.0 + NEAR_TIE_RTOL:
         warnings.warn(
             f"eigenvalues {K} and {K + 1} nearly tied (ratio "
@@ -235,18 +234,20 @@ def fit_regular_pca(y: np.ndarray, K: int):
     return f_hat, y @ f_hat / T, eigvals[:K] / T
 
 
+def _floored(values: np.ndarray) -> np.ndarray:
+    """``values`` floored at ``FLOOR_REL`` times the largest (at ``FLOOR_REL`` if not positive)."""
+    floor = FLOOR_REL * values.max()
+    return np.maximum(values, floor if floor > 0 else FLOOR_REL)
+
+
 def _residual_variances(y: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Diagonal of Sigma_u = Y (I - FF'/T) Y' / T for lam = Y F / T.
 
     With F'F/T = I, as every fit returns, that is ||y_i||^2 / T - ||lam_i||^2:
-    two row sums that never form the p x T residual.  Floored at
-    ``SIGMA_FLOOR_REL`` times the largest so the inverse stays finite on
-    exact-fit rows.
+    two row sums that never form the p x T residual.  ``_floored`` so the
+    inverse stays finite on exact-fit rows.
     """
-    variances = np.einsum("it,it->i", y, y) / y.shape[1] - np.einsum("ik,ik->i", lam, lam)
-    top = variances.max()
-    floor = SIGMA_FLOOR_REL * top if top > 0 else SIGMA_FLOOR_REL
-    return np.maximum(variances, floor)
+    return _floored(np.einsum("it,it->i", y, y) / y.shape[1] - np.einsum("ik,ik->i", lam, lam))
 
 
 def identification_transform(F: np.ndarray, G: np.ndarray):
@@ -263,7 +264,7 @@ def identification_transform(F: np.ndarray, G: np.ndarray):
     T = F.shape[0]
     s_f = F.T @ F / T
     w, e = np.linalg.eigh(s_f)
-    if w[0] <= 1e-12 * max(w[-1], 1.0):
+    if not w[0] > FLOOR_REL * w[-1]:
         raise RankDeficientError("F'F is numerically singular")
     s_f_isqrt = e @ np.diag(w**-0.5) @ e.T
     s_f_sqrt = e @ np.diag(w**0.5) @ e.T
@@ -272,7 +273,7 @@ def identification_transform(F: np.ndarray, G: np.ndarray):
     order = np.argsort(d)[::-1]
     d = d[order]
     r = r[:, order]
-    if d[-1] <= 1e-12 * max(d[0], 1.0):
+    if not d[-1] > FLOOR_REL * d[0]:
         raise RankDeficientError("G'G is numerically singular")
     if np.any(d[:-1] / d[1:] < 1.0 + NEAR_TIE_RTOL):
         warnings.warn(

@@ -2,16 +2,16 @@
 
 ``test_g_zero`` asks whether the covariates explain anything about the
 loadings (H0: G(X) = 0) and is built on the regular-PCA factor estimate,
-since the projection is not meaningful under that null.  Conversely
-``test_gamma_zero`` asks whether the covariates explain everything
-(H0: Gamma = 0) and uses the projected-PCA factors.  ``select_k`` picks
-the number of factors as the argmax of adjacent eigenvalue ratios of
-Y'PY or Y'Y.  All spectra come from ``estimator._spectrum``: the
-projected one from the singular values of the m x T matrix Q'Y, the
-plain one in full for ``select_k`` from the smaller of the Gram matrices
-Y'Y and YY' (they share their nonzero eigenvalues), and only its top K
-pairs for ``test_g_zero``, by a subspace iteration that forms no T x T
-matrix at T >= p.
+since the projection is not meaningful under that null, and is weighted by
+that fit's eigenvalues.  Conversely ``test_gamma_zero`` asks whether the
+covariates explain everything (H0: Gamma = 0) and uses the projected-PCA
+factors.  ``select_k`` picks the number of factors as the argmax of
+adjacent eigenvalue ratios of Y'PY or Y'Y.  All spectra come from
+``estimator._spectrum``: the projected one from the singular values of the
+m x T matrix Q'Y, the plain one in full for ``select_k`` from the smaller
+of the Gram matrices Y'Y and YY' (they share their nonzero eigenvalues),
+and only its top K pairs for ``test_g_zero``, by a subspace iteration that
+forms no T x T matrix at T >= p.
 
 The p-values use ``math`` alone: ``_normal_sf`` is the normal upper tail and
 ``_chi2_sf`` the chi-square one, Q(df/2, x/2) (Numerical Recipes 6.2).  The
@@ -28,7 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .estimator import (
+    FLOOR_REL,
     PanelData,
+    _floored,
     _residual_variances,
     _spectrum,
     fit_projected_pca,
@@ -36,13 +38,11 @@ from .estimator import (
 )
 from .exceptions import (
     BoundaryWarning,
-    InvalidSpecError,
     RangeEmptyError,
     SingularWeightError,
 )
 from .projection import Projector
 
-EIG_FLOOR_REL = 1e-12
 _TAIL_MAX_TERMS = 10**6  # ~5 sqrt(df) terms near x = df; far above any p K in memory
 _TAIL_EPS = 2.0**-52
 _TINY = 1e-300
@@ -121,47 +121,37 @@ class SelectionResult:
 
 
 def test_g_zero(data: PanelData, P: Projector, K: int) -> TestResult:
-    """Test H0: G(X) = 0 via S_G = tr(W1 Lam'P Lam) / p = tr(W1 z'z) / p.
+    """Test H0: G(X) = 0 via S_G = tr(W1 Lam'P Lam) / p = sum_k ||z_k||^2 / ev_k.
 
-    Lam = Y F_hat / T are the regular-PCA loadings, read off that fit, and
-    z = Q'Lam the m x K coordinates of P Lam, so Y is multiplied once.  W1
-    is the inverse of the normalized loading Gram matrix Lam'Lam / p.  Under
-    the null p * S_G is asymptotically chi-square with m K degrees of freedom
-    (m = number of effective basis columns); both the normal standardization
-    and the chi-square upper-tail p-value are reported.
+    Lam = Y F_hat / T are the regular-PCA loadings and ev the eigenvalues of
+    that fit; z = Q'Lam.  W1 inverts Lam'Lam / p = diag(ev) / p (F_hat'F_hat
+    / T = I) and is singular when ev_K is not above ``FLOOR_REL`` * ev_1.
+    Under the null p * S_G is asymptotically chi-square with m K degrees of
+    freedom (m = number of effective basis columns); both the normal
+    standardization and the chi-square upper-tail p-value are reported.
     """
-    p = data.p
-    _, lam, _ = fit_regular_pca(data.y, K)
-    w_inv = lam.T @ lam / p
-    cond = np.linalg.cond(w_inv)
-    if not np.isfinite(cond) or cond > 1e12:
+    _, lam, eigvals = fit_regular_pca(data.y, K)
+    if not eigvals[-1] > FLOOR_REL * eigvals[0]:
         raise SingularWeightError("loading Gram matrix is numerically singular")
     z = P.q.T @ lam
-    s_g = float(np.trace(np.linalg.inv(w_inv) @ (z.T @ z))) / p
-    return _result(s_g, p * s_g, P.rank * K, K)
+    s_g = float(np.sum(z**2 / eigvals))
+    return _result(s_g, data.p * s_g, P.rank * K, K)
 
 
-def test_gamma_zero(
-    data: PanelData, P: Projector, K: int, sigma_u: Optional[np.ndarray] = None
-) -> TestResult:
+def test_gamma_zero(data: PanelData, P: Projector, K: int) -> TestResult:
     """Test H0: Gamma = 0 via S_Gamma = tr(Lam'(I-P) Sigma_u^-1 (I-P) Lam).
 
     Lam = Y F_hat / T with the projected-PCA factors, and Sigma_u is the
-    floored diagonal ||y_i||^2 / T - ||lam_i||^2 read off that fit (pass
-    ``sigma_u`` to override, e.g. when the noise variances are known).
-    Under the null (with Gaussian, serially independent noise) T * S_Gamma is
+    diagonal ||y_i||^2 / T - ||lam_i||^2 of that fit, ``_floored``.  Under
+    the null (with Gaussian, serially independent noise) T * S_Gamma is
     asymptotically chi-square with p K degrees of freedom; p-values are
     calibrated only under those conditions.
 
     It over-rejects at small T: on design 2 (Γ = 0) with T = 50 and J = 8
     it rejects at 5 % for 20 of 20 seeds at p = 1000 (median z 4.2).
     """
-    if sigma_u is not None:
-        sigma_u = np.asarray(sigma_u, dtype=float)
-        if sigma_u.shape != (data.p,) or not np.all(np.isfinite(sigma_u) & (sigma_u > 0)):
-            raise InvalidSpecError(f"sigma_u must hold {data.p} finite positive variances")
     fit = fit_projected_pca(data, P, K)
-    sigma = _residual_variances(data.y, fit.lambda_hat) if sigma_u is None else sigma_u
+    sigma = _residual_variances(data.y, fit.lambda_hat)
     s_gamma = float(np.sum(fit.gamma_hat**2 / sigma[:, None]))
     return _result(s_gamma, data.T * s_gamma, data.p * K, K)
 
@@ -171,8 +161,8 @@ def select_k(y: np.ndarray, P: Optional[Projector], m: int) -> SelectionResult:
 
     Searches K_hat = argmax over 0 < k < m/2 of the ratio of adjacent
     eigenvalues of Y'PY (projected mode, when a projector is given) or
-    Y'Y (plain mode).  Eigenvalues below ``1e-12 * lambda_1`` are floored
-    before forming ratios; ties pick the smallest k.
+    Y'Y (plain mode).  Eigenvalues are ``_floored`` at ``FLOOR_REL`` *
+    lambda_1 before forming ratios; ties pick the smallest k.
     """
     y = np.asarray(y, dtype=float)
     if m < 4:
@@ -183,9 +173,7 @@ def select_k(y: np.ndarray, P: Optional[Projector], m: int) -> SelectionResult:
     k_max = min((m - 1) // 2, T - 1)
     if k_max < 1:
         raise RangeEmptyError(f"search range 0 < k < m/2 is empty (m={m}, T={T})")
-    lam = lam[: k_max + 1]
-    floor = EIG_FLOOR_REL * max(lam[0], 0.0)
-    lam = np.maximum(lam, floor if floor > 0 else EIG_FLOOR_REL)
+    lam = _floored(lam[: k_max + 1])
     ratios = lam[:-1] / lam[1:]
     k_hat = int(np.argmax(ratios)) + 1
     at_boundary = k_hat == k_max

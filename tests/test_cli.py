@@ -14,7 +14,7 @@ import ppca
 
 from ppca.basis import BasisSpec, build_basis, eval_curves
 from ppca.cli import main
-from ppca.dataio import read_matrix, write_matrix
+from ppca.dataio import read_json_object, read_matrix, write_matrix
 from ppca.exceptions import InputError
 
 
@@ -32,6 +32,48 @@ def test_read_matrix_typed_errors(tmp_path):
         (tmp_path / f"{i}.csv").write_text(text)
         with pytest.raises(InputError):
             read_matrix(tmp_path / f"{i}.csv")
+
+
+@pytest.mark.parametrize("reader, text", [(read_matrix, b"1.0,2.0\n3.0,\xff\n"),
+                                          (read_json_object, b'{"design": "d\xe9sign2"}')],
+                         ids=["csv", "json"])
+def test_undecodable_file_input_error(tmp_path, reader, text):
+    path = tmp_path / "latin1"
+    path.write_bytes(text)
+    with pytest.raises(InputError, match="not utf-8") as exc:
+        reader(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("case", ["fit_out_is_file", "test_out_is_dir", "data_is_dir",
+                                  "data_not_utf8", "scenario_not_utf8"])
+def test_unusable_path_exit_2(tmp_path, capsys, case):
+    # an --out that cannot be written, a --data directory, or a file that is not UTF-8
+    y_path, x_path = _write_panel(tmp_path, ppca.gen_design2(60, 20, seed=1).data.y,
+                                  np.linspace(0.0, 1.0, 60)[:, None])
+    bad = tmp_path / "bad"
+    if case == "fit_out_is_file":
+        bad.write_text("keep")
+    elif case in ("test_out_is_dir", "data_is_dir"):
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"1.0,2.0\n3.0,\xff\n" if case == "data_not_utf8" else b'{"p": "\xe9"}')
+    model = ["--covariates", str(x_path), "--k", "3"]
+    argv = {
+        "fit_out_is_file": ["fit", "--data", str(y_path), *model, "--out", str(bad)],
+        "test_out_is_dir": ["test", "--data", str(y_path), *model, "--out", str(bad)],
+        "data_is_dir": ["fit", "--data", str(bad), *model, "--out", str(tmp_path / "o")],
+        "data_not_utf8": ["fit", "--data", str(bad), *model, "--out", str(tmp_path / "o")],
+        "scenario_not_utf8": ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+    if bad.is_dir():
+        assert not any(bad.iterdir())
+    elif case == "fit_out_is_file":
+        assert bad.read_text() == "keep"
 
 
 class TestFit:

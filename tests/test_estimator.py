@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ppca.basis import BasisSpec, build_basis
 from ppca.estimator import (
+    FLOOR_REL,
     NEAR_TIE_RTOL,
-    SIGMA_FLOOR_REL,
     PanelData,
     _residual_variances,
     _top_eigh,
@@ -372,7 +372,7 @@ class TestSigmaU:
         var = _residual_variances(y, lam)
         resid = y - lam @ f_hat.T
         oracle = np.diag(resid @ resid.T) / y.shape[1]
-        assert oracle.min() > 1e3 * SIGMA_FLOOR_REL * oracle.max()  # no row at the floor
+        assert oracle.min() > 1e3 * FLOOR_REL * oracle.max()  # no row at the floor
         np.testing.assert_allclose(var, oracle, rtol=1e-10, atol=0)
 
 
@@ -406,17 +406,29 @@ class TestIdentification:
         with pytest.warns(NonDistinctEigenvaluesWarning):
             identification_transform(f, g)
 
-    @pytest.mark.parametrize("singular", ["F", "G"])
-    def test_singular_input_raises(self, rng, singular):
-        # a repeated column makes F'F or G'G exactly singular
+    @pytest.mark.parametrize("singular, how", [("F", "repeat"), ("G", "repeat"), ("F", "zero")],
+                             ids=["F", "G", "F_zero"])
+    def test_singular_input_raises(self, rng, singular, how):
+        # a repeated column makes F'F or G'G exactly singular, as does an all-zero F
         f = rng.standard_normal((20, 2))
         g = rng.standard_normal((30, 2))
-        if singular == "F":
+        if how == "zero":
+            f[:] = 0.0
+        elif singular == "F":
             f[:, 1] = f[:, 0]
         else:
             g[:, 1] = g[:, 0]
         with pytest.raises(RankDeficientError, match=f"{singular}'{singular}"):
             identification_transform(f, g)
+
+    @pytest.mark.parametrize("f_scale, g_scale", [(1e-7, 1.0), (1.0, 1e-8)])
+    def test_rank_check_is_relative(self, rng, f_scale, g_scale):
+        # well-conditioned inputs at a small scale are not singular, and F0 does not see the scale
+        f = rng.standard_normal((50, 3))
+        g = rng.standard_normal((100, 3))
+        f0, _, _ = identification_transform(f, g)
+        f0_scaled, _, _ = identification_transform(f_scale * f, g_scale * g)
+        np.testing.assert_allclose(f0_scaled, f0, rtol=0, atol=1e-12)
 
     def test_scalar_case(self, rng):
         f = rng.standard_normal((25, 1))

@@ -12,7 +12,6 @@ from ppca.basis import BasisSpec, build_basis
 from ppca.estimator import PanelData, _residual_variances, fit_projected_pca, fit_regular_pca
 from ppca.exceptions import (
     BoundaryWarning,
-    InvalidSpecError,
     NearTieWarning,
     RangeEmptyError,
     SingularWeightError,
@@ -80,6 +79,32 @@ class TestGZero:
         with pytest.raises(SingularWeightError):
             inference.test_g_zero(data, P, 2)
 
+    @pytest.mark.parametrize("ratio, singular", [(1e-13, True), (1e-11, False)])
+    def test_singular_weight_at_floor(self, rng, ratio, singular):
+        # Y = U diag(1, sqrt(ratio)) V' makes ev_2 / ev_1 = ratio; FLOOR_REL = 1e-12 lies between
+        p, T = 60, 20
+        u = np.linalg.qr(rng.standard_normal((p, 2)))[0]
+        v = np.linalg.qr(rng.standard_normal((T, 2)))[0]
+        data = PanelData(y=u * np.sqrt([1.0, ratio]) @ v.T, x=rng.standard_normal((p, 1)))
+        P = make_projector(build_basis(data.x, BasisSpec(J=5)))
+        _, _, ev = fit_regular_pca(data.y, 2)
+        assert ev[1] / ev[0] == pytest.approx(ratio, rel=1e-2)
+        if singular:
+            with pytest.raises(SingularWeightError):
+                inference.test_g_zero(data, P, 2)
+        else:
+            assert np.isfinite(inference.test_g_zero(data, P, 2).statistic)
+
+    @pytest.mark.parametrize("p, T", [(150, 40), (2000, 60), (100, 400)])
+    def test_statistic_matches_inverse_weight_oracle(self, p, T):
+        # the paper's tr((Lam'Lam/p)^-1 Lam'P Lam) / p, with the K x K inverse and a dense P
+        data = gen_design2(p, T, seed=3).data
+        P = make_projector(build_basis(data.x, BasisSpec(J=8)))
+        _, lam, _ = fit_regular_pca(data.y, 3)
+        dense_p = P.q @ P.q.T
+        oracle = np.trace(np.linalg.inv(lam.T @ lam / p) @ (lam.T @ dense_p @ lam)) / p
+        assert inference.test_g_zero(data, P, 3).statistic == pytest.approx(oracle, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("case, n_gram_calls", [("design2", 0), ("noise", 1)])
     def test_no_full_gram_eigh_unless_fallback(self, monkeypatch, rng, case, n_gram_calls):
         # regular PCA takes its top-K pairs by subspace iteration; only a
@@ -139,10 +164,10 @@ class TestGammaZero:
         g = basis.values @ rng.standard_normal((basis.m, K))
         f = np.linalg.qr(rng.standard_normal((T, K)))[0] * np.sqrt(T)
         data = PanelData(y=g @ f.T, x=x)
-        # exact fit degenerates the estimated Sigma_u (all residuals are
-        # roundoff), so supply unit variances to isolate the annihilation
-        res = inference.test_gamma_zero(data, P, K, sigma_u=np.ones(p))
-        assert res.statistic < 1e-8
+        # the exact fit leaves only roundoff residuals, so the statistic divides
+        # roundoff by floored variances; the annihilation shows in Gamma_hat itself
+        fit = fit_projected_pca(data, P, K)
+        assert np.abs(fit.gamma_hat).max() < 1e-8 * np.abs(fit.lambda_hat).max()
 
     def test_power_with_large_gamma(self, rng):
         panel = gen_design2(150, 60, seed=21)
@@ -165,18 +190,6 @@ class TestGammaZero:
         panel, _, P = design2_setup
         assert inference.test_gamma_zero(panel.data, P, 3).statistic >= 0.0
         assert inference.test_g_zero(panel.data, P, 3).statistic >= 0.0
-
-    @pytest.mark.parametrize("sigma_u", [
-        lambda p: np.ones(1),  # would broadcast over all p rows
-        lambda p: np.zeros(p),  # would give inf
-        lambda p: -np.ones(p),  # would give a negative statistic
-        lambda p: np.ones(p - 1),
-    ], ids=["length_1", "zeros", "negative", "length_p_minus_1"])
-    def test_sigma_u_override_validated(self, sigma_u):
-        data = gen_design2(100, 30, seed=0).data
-        P = make_projector(build_basis(data.x, BasisSpec(J=8)))
-        with pytest.raises(InvalidSpecError):
-            inference.test_gamma_zero(data, P, 3, sigma_u=sigma_u(data.p))
 
 
 def _traced_peak(run) -> int:

@@ -8,8 +8,8 @@ Each revision runs from a ``git archive`` in a temporary directory for its own `
 appended to ``--out`` as printed; a run that exits non-zero or ends without a result stops the runner.
 At the end it prints, per side, the median of each metric over all runs of the workload in ``--out``,
 earlier ones included.  For each side after the first one recorded (the parent, when it is the first
-``--rev``), it prints per end-to-end metric of ``BENCHMARK.json`` how many seed-matched pairs that side
-won against the first, and the first side's interquartile range.
+``--rev``), it prints per end-to-end metric of ``BENCHMARK.json`` its median over the first side's median,
+how many seed-matched pairs it won against the first, and the first side's interquartile range.
 """
 
 import argparse
@@ -64,7 +64,7 @@ def main(argv=None):
 
 
 def summarise(runs, workload):
-    """Per side, the median of each metric; per later side, its wins over the first side and that side's IQR."""
+    """Per side, each metric's median; per later side, its ratio to the first side's median, its wins, and that side's IQR."""
     spec = json.loads(Path(__file__).resolve().parents[1].joinpath("BENCHMARK.json").read_text())
     by_side = {}  # side -> metric -> seed -> values
     for run in runs:
@@ -87,10 +87,11 @@ def summarise(runs, workload):
             seeds = sorted(ref.keys() & new.keys())
             gains = [statistics.median(ref[s]) - statistics.median(new[s]) for s in seeds]
             won = sum(g > 0 if lower else g < 0 for g in gains)
-            v = values[base].get(name, [])
+            v, w = values[base].get(name, []), values[side].get(name, [])
+            ratio = statistics.median(w) / statistics.median(v) if v and w else math.nan
             q1, _, q3 = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else [math.nan] * 3
-            parts.append(f"{name} won {won}/{len(seeds)} ({base} IQR {q1:.6g}-{q3:.6g}, {q3 - q1:.3g})")
-        print(f"{side} against {base} over seed-matched pairs:", "; ".join(parts))
+            parts.append(f"{name} ratio {ratio:.4g}, won {won}/{len(seeds)} ({base} IQR {q1:.6g}-{q3:.6g}, {q3 - q1:.3g})")
+        print(f"{side} against {base} (median ratio {side}/{base}; wins over seed-matched pairs):", "; ".join(parts))
 
 
 if __name__ == "__main__":

@@ -156,11 +156,9 @@ def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
     """Eigenvalues of Y'PY (P given) or Y'Y, descending, and top-K eigenvectors.
 
     Returns ``(w, v)`` with ``v`` signs fixed (None for K = 0).  ``w`` holds
-    T = Y.shape[1] values, padded with zeros past those computed: the rank of
-    Q'Y in projected mode, min(p, T) in plain mode with K = 0, which takes
-    them from the smaller of the Grams Y'Y and YY' (they share their nonzero
-    eigenvalues), and in plain mode with K > 0 the leading K + 1 from
-    ``_top_eigh``, unless it fell back to the full ``eigh``.
+    T = Y.shape[1] values, zero past those computed: the rank of Q'Y when
+    projected; when plain, min(p, T) for K = 0, from the smaller Gram (Y'Y or
+    YY'), and K + 1 for K > 0, from ``_top_eigh`` (T if it fell back to eigh).
     """
     T = y.shape[1]
     try:

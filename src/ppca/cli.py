@@ -35,6 +35,14 @@ from .simulate import gen_design
 CURVE_GRID_POINTS = 200
 
 
+def _out_path(args, directory: bool) -> Path:
+    """``args.out``, refused before any input is read when it exists as the other kind of path."""
+    out = Path(args.out)
+    if out.exists() and out.is_dir() != directory:
+        raise InputError(f"--out {out} is an existing {'file' if directory else 'directory'}")
+    return out
+
+
 def _load_model(args):
     """Prelude of ``fit`` and ``test``: read inputs, build basis and projector, resolve K."""
     y, _ = read_matrix(args.data)
@@ -78,9 +86,9 @@ def _write_model_manifest(path, args, spec, k, **config) -> None:
 
 
 def cmd_fit(args) -> int:
+    out = _out_path(args, directory=True)
     panel, spec, basis, projector, k = _load_model(args)
     fit = fit_projected_pca(panel, projector, k)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_fit_bundle(out, fit, spec.to_dict(), basis.m)
     if spec.family != "constant":
@@ -102,13 +110,13 @@ def _write_curves_csv(path, b_hat, basis) -> None:
 
 
 def cmd_test(args) -> int:
+    out = _out_path(args, directory=False)
     panel, spec, _, projector, k = _load_model(args)
     results = {}
     if args.which in ("g", "both"):
         results["g"] = test_g_zero(panel, projector, k).to_dict()
     if args.which in ("gamma", "both"):
         results["gamma"] = test_gamma_zero(panel, projector, k).to_dict()
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, results)
     _write_model_manifest(out.with_suffix(".manifest.json"), args, spec, k, which=args.which)

@@ -5,9 +5,9 @@ alone decides how they are computed.  Y'PY = Z'Z with Z = Q'Y only m x T,
 so projected mode takes a thin SVD of Z and never forms a T x T matrix.
 Plain mode takes the top K pairs of Y'Y by one subspace iteration
 (``_top_eigh``), cheaper than a full eigh or an SVD of the p x T panel; it
-applies Y'Y through the T x T Gram when T < p and as Y'(YV) otherwise, so at
-T >= p no T x T matrix is formed unless the iteration falls back to a full
-eigh.  Loadings follow by least squares, Lambda_hat = Y F_hat / T; a
+applies Y'Y through the T x T Gram when T < p and otherwise as Y'(YV) over
+cache-sized row blocks, one read of Y per step, so at T >= p no T x T matrix
+is formed unless the iteration falls back to a full eigh.  Loadings follow by least squares, Lambda_hat = Y F_hat / T; a
 projected fit splits them into the projected part G_hat and the orthogonal
 remainder Gamma_hat.
 """
@@ -35,6 +35,7 @@ NEAR_TIE_RTOL = 1e-8
 FLOOR_REL = 1e-12  # below this share of the largest, an eigenvalue or variance counts as zero
 TOP_EIGH_MAX_STEPS = 40
 GAP_BLOCKS = 8
+ROW_BLOCK_BYTES = 1 << 19  # row blocks of Y at T >= p: larger ones leave the cache
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,13 @@ def fix_signs(V: np.ndarray) -> np.ndarray:
     return V * _column_signs(V)
 
 
+def _row_blocks(y: np.ndarray) -> list:
+    """Row slices of Y of about ``ROW_BLOCK_BYTES``, at most ceil(p / ``GAP_BLOCKS``) rows each."""
+    p = y.shape[0]
+    rows = max(1, min(ROW_BLOCK_BYTES // y[0].nbytes, -(-p // GAP_BLOCKS)))
+    return [slice(lo, lo + rows) for lo in range(0, p, rows)]
+
+
 def _top_eigh(y: np.ndarray, K: int):
     """The K + 1 leading Ritz pairs of Y'Y, or the full ``eigh`` of its Gram.
 
@@ -106,44 +114,52 @@ def _top_eigh(y: np.ndarray, K: int):
     1e-13 * theta_1 and lambda_{K+1} is settled for the near-tie check:
     bounded below theta_K / (1 + ``NEAR_TIE_RTOL``), or converged too.  The
     shape picks how Y'Y V is applied: by the T x T Gram G when T < p, else as
-    Y'(YV).  lambda_{K+1} is bounded (Courant-Fischer) by ||G - V_K Theta V_K'||_F
-    with G, and without it by ||Y (I - V_K V_K')||_2^2 <= sum_b ||C_b'C_b||_F
-    over ``GAP_BLOCKS`` column blocks C_b of that residual, each formed alone
-    from the rotated YV and a fraction of Y's size (||C_b'C_b||_F =
-    ||C_b C_b'||_F, so the smaller Gram is taken).  Falls back to ``eigh`` of
-    the Gram when q >= T, at the step cap, or once the rate theta_q / theta_n
-    shows the cap cannot be met.
+    sum_b Y_b'(Y_b V) over the row blocks of ``_row_blocks``, so each step
+    reads Y once and both products run on a block in cache.  lambda_{K+1} is
+    bounded (Courant-Fischer) by ||G - V_K Theta V_K'||_F with G, and without
+    it by ||Y (I - V_K V_K')||_2^2 <= sum_b ||R_b R_b'||_F over the same
+    blocks R_b = Y_b - (Y_b V_K) V_K', each formed alone.  Residuals and bound
+    are taken in units of theta_1, so the scale of Y cannot overflow or
+    underflow them.  Falls back to ``eigh`` of the Gram when q >= T, at the
+    step cap, or once the rate theta_q / theta_n shows the cap cannot be met.
     """
     T = y.shape[1]
     g = y.T @ y if T < y.shape[0] else None
     q = K + 5
     if q < T:
-        w = np.random.default_rng(0).standard_normal((T, q))
-        w = y.T @ (y @ w) if g is None else g @ w
-        n = K  # pairs whose residuals must converge
+        if g is None:
+            blocks, yv = _row_blocks(y), np.empty((y.shape[0], q))
+
+        def times_gram(v):  # Y'Y v; Y_b v is kept in yv for the gap bound
+            if g is not None:
+                return g @ v
+            w = np.zeros((T, q))
+            for b in blocks:
+                w += y[b].T @ np.matmul(y[b], v, out=yv[b])
+            return w
+
+        w = times_gram(np.random.default_rng(0).standard_normal((T, q)))
+        n, tol = K, 1e-13  # pairs whose residuals must converge, and to what share of theta_1
         for step in range(1, TOP_EIGH_MAX_STEPS + 1):
             v, _ = np.linalg.qr(w)
-            if g is None:
-                yv = y @ v
-                w = y.T @ yv
-            else:
-                w = g @ v
+            w = times_gram(v)
             theta, s = np.linalg.eigh(v.T @ w)
             theta, s = theta[::-1], s[:, ::-1]
             v, w = v @ s, w @ s
-            resid = np.linalg.norm(w[:, : K + 1] - v[:, : K + 1] * theta[: K + 1], axis=0)
-            tol = 1e-13 * theta[0]
+            unit = theta[0] if theta[0] > 0 else 1.0  # divided out first: 1e-13 * theta_1 may be subnormal
+            resid = np.linalg.norm(w[:, : K + 1] / unit - v[:, : K + 1] * (theta[: K + 1] / unit), axis=0)
             if n == K and resid[:K].max() <= tol:
                 if g is not None:
-                    bound = np.linalg.norm(g - (v[:, :K] * theta[:K]) @ v[:, :K].T)
+                    bound = np.linalg.norm(((v[:, :K] * theta[:K]) @ v[:, :K].T - g) / unit)
                 else:
-                    yk, width, bound = yv @ s[:, :K], -(-T // GAP_BLOCKS), 0.0
-                    for lo in range(0, T, width):
-                        c = yk @ v[lo : lo + width, :K].T
-                        np.subtract(y[:, lo : lo + width], c, out=c)
-                        bound += np.linalg.norm(c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T)
-                        del c  # so that one block at a time is alive
-                n = K if bound * (1.0 + NEAR_TIE_RTOL) < theta[K - 1] else K + 1
+                    bound = 0.0
+                    for b in blocks:  # R_b in place, scaled by theta_1^(-1/2) before its Gram
+                        r = (yv[b] @ s[:, :K]) @ v[:, :K].T
+                        np.subtract(y[b], r, out=r)
+                        r /= np.sqrt(unit)
+                        bound += np.linalg.norm(r @ r.T)
+                        del r  # so that one block at a time is alive
+                n = K if bound * (1.0 + NEAR_TIE_RTOL) < theta[K - 1] / unit else K + 1
             if resid[:n].max() <= tol:
                 return theta[: K + 1], v[:, : K + 1]
             rate = abs(theta[-1] / theta[n - 1]) if theta[n - 1] > 0 else 1.0

@@ -76,6 +76,21 @@ def test_unusable_path_exit_2(tmp_path, capsys, case):
         assert bad.read_text() == "keep"
 
 
+@pytest.mark.parametrize("command", ["fit", "test"])
+def test_out_refused_before_reading(tmp_path, capsys, monkeypatch, command):
+    # fit writes a directory and test a file: the other kind of path is refused before any input is read
+    reads = []
+    monkeypatch.setattr("ppca.cli.read_matrix", lambda *a, **kw: reads.append(a))
+    bad = tmp_path / "bad"
+    bad.write_text("keep") if command == "fit" else bad.mkdir()
+    argv = [command, "--data", str(tmp_path / "Y.csv"), "--covariates", str(tmp_path / "X.csv"),
+            "--k", "3", "--out", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and err.count("\n") == 1, err
+    assert reads == []
+
+
 class TestFit:
     def test_constant_basis_closed_form(self, tmp_path, rng):
         p, T = 30, 12

@@ -1,16 +1,19 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppca import estimator
 from ppca.basis import BasisSpec, build_basis
 from ppca.estimator import (
     FLOOR_REL,
     NEAR_TIE_RTOL,
     PanelData,
     _residual_variances,
+    _row_blocks,
     _top_eigh,
     align_columns,
     fit_projected_pca,
@@ -169,6 +172,19 @@ class TestRegularPca:
         f_hat, _, _ = fit_regular_pca(data.y, 2)
         np.testing.assert_allclose(proj_fit.f_hat, f_hat, atol=1e-8)
 
+    @pytest.mark.parametrize("c", [1e150, 1e-150])
+    @pytest.mark.parametrize("p, T", [(300, 40), (200, 400)])  # through the Gram, then from Y itself
+    def test_scale_free(self, p, T, c):
+        # residuals and gap bound in units of theta_1: nothing overflows, and no residual
+        # underflows to a false convergence
+        y = gen_design2(p, T, seed=2).data.y
+        f_hat, _, eigvals = fit_regular_pca(y, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f_c, _, eig_c = fit_regular_pca(c * y, 3)
+        np.testing.assert_allclose(eig_c, c * c * eigvals, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(f_c, f_hat, rtol=0, atol=1e-12)
+
     def test_overflowing_gram_raises_eigen_failure(self):
         # Y'Y of a design-2 panel scaled by 1e200 overflows to inf, and eigh cannot converge
         y = gen_design2(40, 10, seed=1).data.y * 1e200
@@ -235,7 +251,7 @@ def _top_eigh_with_bound(monkeypatch, y, K):
     """``_top_eigh(y, K)``, its gap bound, and whether it returned on the step that took the bound.
 
     Its column norms are Ritz residuals and its whole-matrix norms the terms
-    of the gap bound, which is taken once.
+    of the gap bound, which is taken once, in units of theta_1.
     """
     calls, real = [], np.linalg.norm
     monkeypatch.setattr(
@@ -244,7 +260,7 @@ def _top_eigh_with_bound(monkeypatch, y, K):
     )
     w, v = _top_eigh(y, K)
     monkeypatch.undo()
-    return w, v, sum(value for over_columns, value in calls if not over_columns), not calls[-1][0]
+    return w, v, w[0] * sum(value for over_columns, value in calls if not over_columns), not calls[-1][0]
 
 
 class TestGramFreeRegularPca:
@@ -274,6 +290,23 @@ class TestGramFreeRegularPca:
         np.testing.assert_allclose(np.sqrt(T) * fix_signs(v[:, :K]), f_ref, rtol=0, atol=1e-12 * np.sqrt(T))
         _, _, eigvals = fit_regular_pca(y, K)
         np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("p, T, block_bytes, rows", [
+        (600, 1000, None, 65),  # 65 rows fill 512 KiB, and p = 9 * 65 + 15
+        (30, 400, None, 4),  # p is below one 163-row block, so ceil(p / GAP_BLOCKS) rows
+        (30, 200, 1024, 1),  # a row of 1600 bytes is wider than the block: one row each
+    ])
+    def test_block_edges(self, rng, monkeypatch, p, T, block_bytes, rows):
+        y = gen_design2(p, T, seed=7).data.y if p > 100 else _factor_panel(rng, p, T, 3)
+        if block_bytes is not None:
+            monkeypatch.setattr(estimator, "ROW_BLOCK_BYTES", block_bytes)
+        sizes = [len(range(p)[b]) for b in _row_blocks(y)]
+        assert sizes == [rows] * (p // rows) + [p % rows] * (p % rows > 0)
+        w, v, bound, stopped_at_bound = _top_eigh_with_bound(monkeypatch, y, 3)
+        assert w.size == 4 and bound * (1.0 + NEAR_TIE_RTOL) < w[2] and stopped_at_bound
+        f_ref, eig_ref = _gram_eigh_reference(y, 3)
+        np.testing.assert_allclose(w[:3] / T, eig_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.sqrt(T) * fix_signs(v[:, :3]), f_ref, rtol=0, atol=1e-12 * np.sqrt(T))
 
     def test_near_tie_falls_back_and_warns(self, rng, monkeypatch):
         u = np.linalg.qr(rng.standard_normal((30, 4)))[0]

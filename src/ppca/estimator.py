@@ -7,9 +7,9 @@ Plain mode takes the top K pairs of Y'Y by one subspace iteration
 (``_top_eigh``), cheaper than a full eigh or an SVD of the p x T panel; it
 applies Y'Y through the T x T Gram when T < p and otherwise as Y'(YV) over
 cache-sized row blocks, one read of Y per step, so at T >= p no T x T matrix
-is formed unless the iteration falls back to a full eigh.  Loadings follow by least squares, Lambda_hat = Y F_hat / T; a
-projected fit splits them into the projected part G_hat and the orthogonal
-remainder Gamma_hat.
+is formed unless the iteration falls back to a full eigh.  Loadings follow
+by least squares, Lambda_hat = Y F_hat / T; a projected fit splits them into
+the projected part G_hat and the orthogonal remainder Gamma_hat.
 """
 
 from __future__ import annotations

@@ -82,7 +82,10 @@ def test_out_refused_before_reading(tmp_path, capsys, monkeypatch, command):
     reads = []
     monkeypatch.setattr("ppca.cli.read_matrix", lambda *a, **kw: reads.append(a))
     bad = tmp_path / "bad"
-    bad.write_text("keep") if command == "fit" else bad.mkdir()
+    if command == "fit":
+        bad.write_text("keep")
+    else:
+        bad.mkdir()
     argv = [command, "--data", str(tmp_path / "Y.csv"), "--covariates", str(tmp_path / "X.csv"),
             "--k", "3", "--out", str(bad)]
     assert main(argv) == 2

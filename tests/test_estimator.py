@@ -251,7 +251,8 @@ def _top_eigh_with_bound(monkeypatch, y, K):
     """``_top_eigh(y, K)``, its gap bound, and whether it returned on the step that took the bound.
 
     Its column norms are Ritz residuals and its whole-matrix norms the terms
-    of the gap bound, which is taken once, in units of theta_1.
+    of the gap bound, which is taken once, in units of theta_1; the bound
+    returned is in units of Y'Y.
     """
     calls, real = [], np.linalg.norm
     monkeypatch.setattr(

@@ -5,11 +5,12 @@ alone decides how they are computed.  Y'PY = Z'Z with Z = Q'Y only m x T,
 so projected mode takes a thin SVD of Z and never forms a T x T matrix.
 Plain mode takes the top K pairs of Y'Y by one subspace iteration
 (``_top_eigh``), cheaper than a full eigh or an SVD of the p x T panel; it
-applies Y'Y through the T x T Gram when T < p and otherwise as Y'(YV) over
-cache-sized row blocks, one read of Y per step, so at T >= p no T x T matrix
-is formed unless the iteration falls back to a full eigh.  Loadings follow
-by least squares, Lambda_hat = Y F_hat / T; a projected fit splits them into
-the projected part G_hat and the orthogonal remainder Gamma_hat.
+applies Y'Y through the T x T Gram when T < p and otherwise as Y'(YV),
+over cache-sized row blocks (one read of Y per step) while a block holds
+2q rows, so at T >= p no T x T matrix is formed unless the iteration falls
+back to a full eigh.  Loadings follow by least squares, Lambda_hat =
+Y F_hat / T; a projected fit splits them into the projected part G_hat and
+the orthogonal remainder Gamma_hat.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ NEAR_TIE_RTOL = 1e-8
 FLOOR_REL = 1e-12  # below this share of the largest, an eigenvalue or variance counts as zero
 TOP_EIGH_MAX_STEPS = 40
 GAP_BLOCKS = 8
-ROW_BLOCK_BYTES = 1 << 19  # row blocks of Y at T >= p: larger ones leave the cache
+ROW_BLOCK_BYTES = 1 << 19  # rows of Y that Y'Y V is applied over at T >= p: more leave the cache
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,9 @@ def fix_signs(V: np.ndarray) -> np.ndarray:
     return V * _column_signs(V)
 
 
-def _row_blocks(y: np.ndarray) -> list:
-    """Row slices of Y of about ``ROW_BLOCK_BYTES``, at most ceil(p / ``GAP_BLOCKS``) rows each."""
-    p = y.shape[0]
-    rows = max(1, min(ROW_BLOCK_BYTES // y[0].nbytes, -(-p // GAP_BLOCKS)))
+def _row_blocks(p: int, rows: int) -> list:
+    """Slices of ``rows`` consecutive rows (at least one; the last may be shorter) covering p."""
+    rows = max(1, rows)
     return [slice(lo, lo + rows) for lo in range(0, p, rows)]
 
 
@@ -114,12 +114,15 @@ def _top_eigh(y: np.ndarray, K: int):
     1e-13 * theta_1 and lambda_{K+1} is settled for the near-tie check:
     bounded below theta_K / (1 + ``NEAR_TIE_RTOL``), or converged too.  The
     shape picks how Y'Y V is applied: by the T x T Gram G when T < p, else as
-    sum_b Y_b'(Y_b V) over the row blocks of ``_row_blocks``, so each step
-    reads Y once and both products run on a block in cache.  lambda_{K+1} is
-    bounded (Courant-Fischer) by ||G - V_K Theta V_K'||_F with G, and without
-    it by ||Y (I - V_K V_K')||_2^2 <= sum_b ||R_b R_b'||_F over the same
-    blocks R_b = Y_b - (Y_b V_K) V_K', each formed alone.  Residuals and bound
-    are taken in units of theta_1, so the scale of Y cannot overflow or
+    sum_b Y_b'(Y_b V) over blocks of ``ROW_BLOCK_BYTES``, so each step reads Y
+    once and both products run on a block in cache; a block under 2q rows
+    would move more of the T x q sum than of Y, so then Y'(YV) is taken whole.
+    lambda_{K+1} is bounded (Courant-Fischer) by ||G - V_K Theta V_K'||_F with
+    G, and without it by ||Y (I - V_K V_K')||_2^2 <= sum_b ||R_b R_b'||_F over
+    ``GAP_BLOCKS`` row groups R_b = Y_b - (Y_b V_K) V_K', each formed alone;
+    not over the cache blocks, since the bound loosens as the rows per group
+    fall (on white noise it is about ||R||_F^2 / sqrt(rows)).  Residuals and
+    bound are taken in units of theta_1, so the scale of Y cannot overflow or
     underflow them.  Falls back to ``eigh`` of the Gram when q >= T, at the
     step cap, or once the rate theta_q / theta_n shows the cap cannot be met.
     """
@@ -128,7 +131,8 @@ def _top_eigh(y: np.ndarray, K: int):
     q = K + 5
     if q < T:
         if g is None:
-            blocks, yv = _row_blocks(y), np.empty((y.shape[0], q))
+            p, yv, rows = y.shape[0], np.empty((y.shape[0], q)), ROW_BLOCK_BYTES // (T * y.itemsize)
+            blocks = _row_blocks(p, rows if rows >= 2 * q else p)
 
         def times_gram(v):  # Y'Y v; Y_b v is kept in yv for the gap bound
             if g is not None:
@@ -153,10 +157,10 @@ def _top_eigh(y: np.ndarray, K: int):
                     bound = np.linalg.norm(((v[:, :K] * theta[:K]) @ v[:, :K].T - g) / unit)
                 else:
                     bound = 0.0
-                    for b in blocks:  # R_b in place, scaled by theta_1^(-1/2) before its Gram
+                    for b in _row_blocks(p, -(-p // GAP_BLOCKS)):  # each R_b formed in place
                         r = (yv[b] @ s[:, :K]) @ v[:, :K].T
                         np.subtract(y[b], r, out=r)
-                        r /= np.sqrt(unit)
+                        r /= np.sqrt(unit)  # so that its Gram is in units of theta_1
                         bound += np.linalg.norm(r @ r.T)
                         del r  # so that one block at a time is alive
                 n = K if bound * (1.0 + NEAR_TIE_RTOL) < theta[K - 1] / unit else K + 1

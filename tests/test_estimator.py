@@ -13,7 +13,6 @@ from ppca.estimator import (
     NEAR_TIE_RTOL,
     PanelData,
     _residual_variances,
-    _row_blocks,
     _top_eigh,
     align_columns,
     fit_projected_pca,
@@ -185,6 +184,15 @@ class TestRegularPca:
         np.testing.assert_allclose(eig_c, c * c * eigvals, rtol=1e-12, atol=0)
         np.testing.assert_allclose(f_c, f_hat, rtol=0, atol=1e-12)
 
+    def test_panel_without_rows(self):
+        # Y'Y = 0: orthonormal factors with zero eigenvalues and no loadings, through the
+        # iteration (T = 20 > q) and through the full eigh (T = 7 <= q)
+        for T in (20, 7):
+            f_hat, lambda_hat, eigvals = fit_regular_pca(np.zeros((0, T)), 3)
+            assert f_hat.shape == (T, 3) and lambda_hat.shape == (0, 3)
+            np.testing.assert_array_equal(eigvals, 0.0)
+            np.testing.assert_allclose(f_hat.T @ f_hat / T, np.eye(3), rtol=0, atol=1e-12)
+
     def test_overflowing_gram_raises_eigen_failure(self):
         # Y'Y of a design-2 panel scaled by 1e200 overflows to inf, and eigh cannot converge
         y = gen_design2(40, 10, seed=1).data.y * 1e200
@@ -292,18 +300,23 @@ class TestGramFreeRegularPca:
         _, _, eigvals = fit_regular_pca(y, K)
         np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("p, T, block_bytes, rows", [
-        (600, 1000, None, 65),  # 65 rows fill 512 KiB, and p = 9 * 65 + 15
-        (30, 400, None, 4),  # p is below one 163-row block, so ceil(p / GAP_BLOCKS) rows
-        (30, 200, 1024, 1),  # a row of 1600 bytes is wider than the block: one row each
+    @pytest.mark.parametrize("p, T, block_bytes, applied, certified", [
+        # 65 rows fill 512 KiB, and p = 9 * 65 + 15; the gap bound takes ceil(p / GAP_BLOCKS) rows
+        (600, 1000, None, [65] * 9 + [15], [75] * 8),
+        (30, 400, None, [30], [4] * 7 + [2]),  # p is below one 163-row block
+        (100, 4096, None, [16] * 6 + [4], [13] * 7 + [9]),  # 16 rows fill 512 KiB: q = 8, 2q rows
+        # a row of 3200 bytes is wider than the block, so Y'Y V takes all of Y; the gap bound
+        # still takes 25-row groups, which certify where one row each would not
+        (200, 400, 1024, [200], [25] * 8),
     ])
-    def test_block_edges(self, rng, monkeypatch, p, T, block_bytes, rows):
-        y = gen_design2(p, T, seed=7).data.y if p > 100 else _factor_panel(rng, p, T, 3)
+    def test_block_edges(self, rng, monkeypatch, p, T, block_bytes, applied, certified):
+        y = gen_design2(p, T, seed=7).data.y if p >= 100 else _factor_panel(rng, p, T, 3)
         if block_bytes is not None:
             monkeypatch.setattr(estimator, "ROW_BLOCK_BYTES", block_bytes)
-        sizes = [len(range(p)[b]) for b in _row_blocks(y)]
-        assert sizes == [rows] * (p // rows) + [p % rows] * (p % rows > 0)
+        made, real = [], estimator._row_blocks  # the application's blocks, then the gap bound's
+        monkeypatch.setattr(estimator, "_row_blocks", lambda *a: made.append(real(*a)) or made[-1])
         w, v, bound, stopped_at_bound = _top_eigh_with_bound(monkeypatch, y, 3)
+        assert [[len(range(p)[b]) for b in blocks] for blocks in made] == [applied, certified]
         assert w.size == 4 and bound * (1.0 + NEAR_TIE_RTOL) < w[2] and stopped_at_bound
         f_ref, eig_ref = _gram_eigh_reference(y, 3)
         np.testing.assert_allclose(w[:3] / T, eig_ref, rtol=1e-12, atol=0)

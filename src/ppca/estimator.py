@@ -7,10 +7,10 @@ Plain mode takes the top K pairs of Y'Y by one subspace iteration
 (``_top_eigh``), cheaper than a full eigh or an SVD of the p x T panel; it
 applies Y'Y through the T x T Gram when T < p and otherwise as Y'(YV),
 over cache-sized row blocks (one read of Y per step) while a block holds
-2q rows, so at T >= p no T x T matrix is formed unless the iteration falls
-back to a full eigh.  Loadings follow by least squares, Lambda_hat =
-Y F_hat / T; a projected fit splits them into the projected part G_hat and
-the orthogonal remainder Gamma_hat.
+2q rows.  At T >= p it certifies the eigengap from 2q x 2q block Grams and
+falls back to the p x p Gram, so no T x T matrix is formed.  Loadings
+follow by least squares, Lambda_hat = Y F_hat / T; a projected fit splits
+them into the projected part G_hat and the orthogonal remainder Gamma_hat.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .projection import Projector
 NEAR_TIE_RTOL = 1e-8
 FLOOR_REL = 1e-12  # below this share of the largest, an eigenvalue or variance counts as zero
 TOP_EIGH_MAX_STEPS = 40
-GAP_BLOCKS = 8
 ROW_BLOCK_BYTES = 1 << 19  # rows of Y that Y'Y V is applied over at T >= p: more leave the cache
 
 
@@ -106,6 +105,37 @@ def _row_blocks(p: int, rows: int) -> list:
     return [slice(lo, lo + rows) for lo in range(0, p, rows)]
 
 
+def _gap_bound(y: np.ndarray, u: np.ndarray, rows: int, unit: float) -> float:
+    """An upper bound on lambda_{K+1}(Y'Y) / ``unit`` from U = Y V_K, V_K orthonormal T x K.
+
+    lambda_{K+1} <= ||Y (I - V_K V_K')||_2^2 = ||R R'||_2 (Courant-Fischer),
+    R R' = Y Y' - U U', and ||R R'||_2 <= sum_b ||R_b R_b'||_2 over groups b
+    of ``rows`` consecutive rows, each at most its largest absolute row sum
+    (Golub & Van Loan 2.3).  Full groups go through one batched product, the
+    tail alone.  Each Gram is divided by ``unit`` = theta_1 first: its entries
+    are at most ||y_i|| ||y_j|| <= theta_1, so no scale of Y overflows the
+    sums.  (T + K + 1) eps ||y_i|| ||y_j|| bounds the rounding of an entry of
+    Y_b Y_b' - U_b U_b' (Higham 3.1), and it is doubled for the rounding
+    already in U; the ||y_i|| come from the block Grams' diagonals.
+    """
+    p, T = y.shape
+    cut = p - p % rows
+    groups = [(y[:cut].reshape(-1, rows, T), u[:cut].reshape(-1, rows, u.shape[1]))]
+    if cut < p:
+        groups.append((y[None, cut:], u[None, cut:]))
+    bound = rounding = 0.0
+    for yb, ub in groups:
+        g = yb @ yb.transpose(0, 2, 1)
+        g /= unit
+        uu = ub @ ub.transpose(0, 2, 1)
+        uu /= unit
+        norms = np.sqrt(np.diagonal(g, axis1=1, axis2=2))
+        g -= uu
+        bound += np.abs(g, out=g).sum(axis=2).max(axis=1).sum()
+        rounding += (norms.max(axis=1) * norms.sum(axis=1)).sum()
+    return bound + 2 * (T + u.shape[1] + 1) * np.finfo(float).eps * rounding
+
+
 def _top_eigh(y: np.ndarray, K: int):
     """The K + 1 leading Ritz pairs of Y'Y, or the full ``eigh`` of its Gram.
 
@@ -118,13 +148,12 @@ def _top_eigh(y: np.ndarray, K: int):
     once and both products run on a block in cache; a block under 2q rows
     would move more of the T x q sum than of Y, so then Y'(YV) is taken whole.
     lambda_{K+1} is bounded (Courant-Fischer) by ||G - V_K Theta V_K'||_F with
-    G, and without it by ||Y (I - V_K V_K')||_2^2 <= sum_b ||R_b R_b'||_F over
-    ``GAP_BLOCKS`` row groups R_b = Y_b - (Y_b V_K) V_K', each formed alone;
-    not over the cache blocks, since the bound loosens as the rows per group
-    fall (on white noise it is about ||R||_F^2 / sqrt(rows)).  Residuals and
-    bound are taken in units of theta_1, so the scale of Y cannot overflow or
-    underflow them.  Falls back to ``eigh`` of the Gram when q >= T, at the
-    step cap, or once the rate theta_q / theta_n shows the cap cannot be met.
+    G, and without it by ``_gap_bound`` over 2q-row groups, from the U = Y V_K
+    that the step's Y V already holds.  Residuals and bound are taken in units
+    of theta_1, so the scale of Y cannot overflow or underflow them.  Falls
+    back, when q >= T, at the step cap, or once the rate theta_q / theta_n
+    shows the cap cannot be met, to ``eigh`` of G when T < p, and otherwise to
+    the top K + 1 pairs of the p x p Gram Y Y' (``_small_gram_pairs``).
     """
     T = y.shape[1]
     g = y.T @ y if T < y.shape[0] else None
@@ -156,20 +185,33 @@ def _top_eigh(y: np.ndarray, K: int):
                 if g is not None:
                     bound = np.linalg.norm(((v[:, :K] * theta[:K]) @ v[:, :K].T - g) / unit)
                 else:
-                    bound = 0.0
-                    for b in _row_blocks(p, -(-p // GAP_BLOCKS)):  # each R_b formed in place
-                        r = (yv[b] @ s[:, :K]) @ v[:, :K].T
-                        np.subtract(y[b], r, out=r)
-                        r /= np.sqrt(unit)  # so that its Gram is in units of theta_1
-                        bound += np.linalg.norm(r @ r.T)
-                        del r  # so that one block at a time is alive
+                    bound = _gap_bound(y, yv @ s[:, :K], 2 * q, unit)
                 n = K if bound * (1.0 + NEAR_TIE_RTOL) < theta[K - 1] / unit else K + 1
             if resid[:n].max() <= tol:
                 return theta[: K + 1], v[:, : K + 1]
             rate = abs(theta[-1] / theta[n - 1]) if theta[n - 1] > 0 else 1.0
             if resid[:n].max() * rate ** (TOP_EIGH_MAX_STEPS - step) > tol:
                 break
-    return np.linalg.eigh(y.T @ y if g is None else g)
+    return np.linalg.eigh(g) if g is not None else _small_gram_pairs(y, K + 1)
+
+
+def _small_gram_pairs(y: np.ndarray, n: int):
+    """The top n eigenpairs of Y'Y, descending, from ``eigh`` of the p x p Gram Y Y'.
+
+    A pair (lambda, u) of Y Y' gives Y'u / sqrt(lambda) for Y'Y.  Pairs at or
+    below ``FLOOR_REL`` * lambda_1, and those past p, have no such vector;
+    they keep their eigenvalue (zero past p) and take orthonormal columns
+    orthogonal to the others, from a fixed-seed draw.
+    """
+    lam, u = np.linalg.eigh(y @ y.T)
+    lam, u = lam[::-1][:n], u[:, ::-1][:, :n]
+    r = int(np.count_nonzero(lam > FLOOR_REL * lam[0])) if lam.size else 0
+    v = y.T @ u[:, :r] / np.sqrt(lam[:r])
+    if r < n:
+        extra = np.random.default_rng(0).standard_normal((y.shape[1], n - r))
+        extra -= v @ (v.T @ extra)
+        v = np.hstack([v, np.linalg.qr(extra)[0]])
+    return np.concatenate([lam, np.zeros(n - lam.size)]), v
 
 
 def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
@@ -178,7 +220,8 @@ def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
     Returns ``(w, v)`` with ``v`` signs fixed (None for K = 0).  ``w`` holds
     T = Y.shape[1] values, zero past those computed: the rank of Q'Y when
     projected; when plain, min(p, T) for K = 0, from the smaller Gram (Y'Y or
-    YY'), and K + 1 for K > 0, from ``_top_eigh`` (T if it fell back to eigh).
+    YY'), and K + 1 for K > 0, from ``_top_eigh`` (T if it fell back to the
+    ``eigh`` of Y'Y at T < p).
     """
     T = y.shape[1]
     try:

@@ -215,7 +215,8 @@ class TestRegularPcaGramOracle:
         ("noise", 3, 200),  # no gap: falls back to the full eigh
         ("rank_deficient", 3, 4),  # p < T, so Y'Y has T - p zero eigenvalues
         ("tiny_wide", 2, 3),  # q = K + 5 >= T: full eigh
-        ("tiny_tall", 1, 4),
+        ("tiny_tall", 1, 2),  # q >= T >= p: the top K + 1 pairs of the p x p Gram
+        ("noise_long", 3, 4),  # no gap at T >= p: likewise
     ])
     def test_matches_eigh(self, rng, case, K, n_values):
         y = {
@@ -224,6 +225,7 @@ class TestRegularPcaGramOracle:
             "rank_deficient": lambda: gen_design2(20, 60, seed=2).data.y,
             "tiny_wide": lambda: rng.standard_normal((4, 3)),
             "tiny_tall": lambda: rng.standard_normal((3, 4)),
+            "noise_long": lambda: rng.standard_normal((200, 300)),
         }[case]()
         assert _top_eigh(y, K)[0].size == n_values
         f_hat, _, eigvals = fit_regular_pca(y, K)
@@ -256,20 +258,22 @@ def _factor_panel(rng, p, T, K, noise=0.1):
 
 
 def _top_eigh_with_bound(monkeypatch, y, K):
-    """``_top_eigh(y, K)``, its gap bound, and whether it returned on the step that took the bound.
+    """``_top_eigh(y, K)``, its gap bound, whether it returned on the step that took the bound, and
+    the rows per group of the bound.
 
-    Its column norms are Ritz residuals and its whole-matrix norms the terms
-    of the gap bound, which is taken once, in units of theta_1; the bound
-    returned is in units of Y'Y.
+    Each step takes the Ritz residuals' column norms in one ``np.linalg.norm`` call; ``_gap_bound``
+    is called once, in units of theta_1, and the bound returned is in units of Y'Y.
     """
-    calls, real = [], np.linalg.norm
+    steps, calls, real_norm, real_bound = [], [], np.linalg.norm, estimator._gap_bound
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: steps.append(None) or real_norm(*a, **kw))
     monkeypatch.setattr(
-        np.linalg, "norm",
-        lambda a, *args, **kw: calls.append(("axis" in kw, real(a, *args, **kw))) or calls[-1][1],
+        estimator, "_gap_bound",
+        lambda y, u, rows, unit: calls.append((len(steps), rows, real_bound(y, u, rows, unit))) or calls[-1][2],
     )
     w, v = _top_eigh(y, K)
     monkeypatch.undo()
-    return w, v, w[0] * sum(value for over_columns, value in calls if not over_columns), not calls[-1][0]
+    (step, rows, bound), = calls
+    return w, v, w[0] * bound, step == len(steps), rows
 
 
 class TestGramFreeRegularPca:
@@ -290,7 +294,7 @@ class TestGramFreeRegularPca:
             "factor_narrow": lambda: _factor_panel(rng, 6, 50, K),
             "factor_tiny": lambda: _factor_panel(rng, 5, 12, K),
         }[case]()
-        w, v, bound, stopped_at_bound = _top_eigh_with_bound(monkeypatch, y, K)
+        w, v, bound, stopped_at_bound, _ = _top_eigh_with_bound(monkeypatch, y, K)
         assert w.size == K + 1 and bound * (1.0 + NEAR_TIE_RTOL) < w[K - 1]  # the gap was certified
         assert stopped_at_bound  # so pair K + 1 was not iterated on
         T = y.shape[1]
@@ -301,22 +305,23 @@ class TestGramFreeRegularPca:
         np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("p, T, block_bytes, applied, certified", [
-        # 65 rows fill 512 KiB, and p = 9 * 65 + 15; the gap bound takes ceil(p / GAP_BLOCKS) rows
-        (600, 1000, None, [65] * 9 + [15], [75] * 8),
-        (30, 400, None, [30], [4] * 7 + [2]),  # p is below one 163-row block
-        (100, 4096, None, [16] * 6 + [4], [13] * 7 + [9]),  # 16 rows fill 512 KiB: q = 8, 2q rows
+        # 65 rows fill 512 KiB, and p = 9 * 65 + 15; the gap bound takes 2q = 16 rows (K = 3)
+        (600, 1000, None, [65] * 9 + [15], [16] * 37 + [8]),
+        (30, 400, None, [30], [16, 14]),  # p is below one 163-row block
+        (100, 4096, None, [16] * 6 + [4], [16] * 6 + [4]),  # 16 rows fill 512 KiB: 2q rows
         # a row of 3200 bytes is wider than the block, so Y'Y V takes all of Y; the gap bound
-        # still takes 25-row groups, which certify where one row each would not
-        (200, 400, 1024, [200], [25] * 8),
+        # still takes 2q-row groups, which certify where one row each would not
+        (200, 400, 1024, [200], [16] * 12 + [8]),
     ])
     def test_block_edges(self, rng, monkeypatch, p, T, block_bytes, applied, certified):
         y = gen_design2(p, T, seed=7).data.y if p >= 100 else _factor_panel(rng, p, T, 3)
         if block_bytes is not None:
             monkeypatch.setattr(estimator, "ROW_BLOCK_BYTES", block_bytes)
-        made, real = [], estimator._row_blocks  # the application's blocks, then the gap bound's
+        made, real = [], estimator._row_blocks  # the application's blocks
         monkeypatch.setattr(estimator, "_row_blocks", lambda *a: made.append(real(*a)) or made[-1])
-        w, v, bound, stopped_at_bound = _top_eigh_with_bound(monkeypatch, y, 3)
-        assert [[len(range(p)[b]) for b in blocks] for blocks in made] == [applied, certified]
+        w, v, bound, stopped_at_bound, rows = _top_eigh_with_bound(monkeypatch, y, 3)
+        assert [[len(range(p)[b]) for b in blocks] for blocks in made] == [applied]
+        assert [min(rows, p - lo) for lo in range(0, p, rows)] == certified
         assert w.size == 4 and bound * (1.0 + NEAR_TIE_RTOL) < w[2] and stopped_at_bound
         f_ref, eig_ref = _gram_eigh_reference(y, 3)
         np.testing.assert_allclose(w[:3] / T, eig_ref, rtol=1e-12, atol=0)
@@ -326,7 +331,7 @@ class TestGramFreeRegularPca:
         u = np.linalg.qr(rng.standard_normal((30, 4)))[0]
         vt = np.linalg.qr(rng.standard_normal((40, 4)))[0].T
         y = u @ np.diag([3.0, 2.0, 2.0 * (1 - 1e-12), 1.0]) @ vt  # T >= p, sigma_2 ~ sigma_3
-        w, _, bound, _ = _top_eigh_with_bound(monkeypatch, y, 2)
+        w, _, bound, _, _ = _top_eigh_with_bound(monkeypatch, y, 2)
         # the bound cannot clear a tie, so pair K + 1 is iterated to convergence, with no full eigh
         assert w.size == 3 and bound * (1.0 + NEAR_TIE_RTOL) >= w[1]
         with pytest.warns(NearTieWarning):
@@ -334,6 +339,27 @@ class TestGramFreeRegularPca:
         f_ref, eig_ref = _gram_eigh_reference(y, 2)
         np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-10)
         np.testing.assert_allclose(f_hat[:, 0], f_ref[:, 0], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("p, T, K, rank", [
+        (200, 300, 3, 200),  # noise: no gap, so the iteration gives up
+        (5, 7, 3, 2),  # q >= T, and pairs 3 and 4 are null
+        (2, 6, 3, 2),  # pairs 3 and 4 lie past p
+        (0, 7, 3, 0),
+    ])
+    def test_fallback_takes_small_gram(self, rng, monkeypatch, p, T, K, rank):
+        # the pairs come from eigh of the p x p Gram, with null pairs completed orthonormally
+        y = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, T))
+        shapes, real = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or real(a))
+        w, v = _top_eigh(y, K)
+        monkeypatch.undo()
+        assert shapes[-1] == (p, p) and (T, T) not in shapes
+        ref = np.linalg.eigvalsh(y.T @ y)[::-1][: K + 1]
+        scale = max(ref[0], 1.0)
+        assert w.size == K + 1
+        np.testing.assert_allclose(w, ref, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(v.T @ v, np.eye(K + 1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(y.T @ (y @ v), v * w, rtol=0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("p, T, gram_free", [(300, 600, True), (200, 200, True), (600, 300, False)])
     def test_route_follows_shape(self, p, T, gram_free):
@@ -345,6 +371,42 @@ class TestGramFreeRegularPca:
         finally:
             tracemalloc.stop()
         assert (peak < 8 * T * T) == gram_free, peak  # the T x T Gram alone takes 8 T^2 bytes
+
+
+@st.composite
+def _gap_bound_cases(draw):
+    """T >= p panels (noise, exact rank K, or rank K plus noise) at scale 10^0 or 10^+-150,
+    with V_K the top K eigenvectors of Y'Y or a random orthonormal T x K."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    K = draw(st.integers(1, 4))
+    rows = 2 * (K + 5)
+    p = draw(st.sampled_from([0, 1, K + 1, rows - 1, rows, rows + 3, 3 * rows + 5, 60]))
+    T = max(p, K + 1) + draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["noise", "rank_k", "rank_k", "factor"]))  # rank K: the tightest
+    y = rng.standard_normal((p, T))
+    if kind != "noise":
+        signal = rng.standard_normal((p, K)) @ rng.standard_normal((K, T)) * 10.0
+        y = signal if kind == "rank_k" else signal + y
+    if draw(st.booleans()):
+        v_k = np.linalg.eigh(y.T @ y)[1][:, ::-1][:, :K]
+    else:
+        v_k = np.linalg.qr(rng.standard_normal((T, K)))[0]
+    return y * draw(st.sampled_from([1.0, 1e150, 1e-150])), v_k, rows
+
+
+class TestGapBound:
+    @given(_gap_bound_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_bounds_lambda_k_plus_1(self, case):
+        y, v_k, rows = case
+        K = v_k.shape[1]
+        lam = np.linalg.eigvalsh(y @ y.T) if y.shape[0] else np.zeros(1)
+        unit = lam[-1] if lam[-1] > 0 else 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = estimator._gap_bound(y, y @ v_k, rows, unit)
+        assert np.isfinite(bound)
+        assert bound >= (lam[-(K + 1)] if lam.size > K else 0.0) / unit
 
 
 @st.composite

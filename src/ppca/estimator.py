@@ -114,9 +114,9 @@ def _gap_bound(y: np.ndarray, u: np.ndarray, rows: int, unit: float) -> float:
     (Golub & Van Loan 2.3).  Full groups go through one batched product, the
     tail alone.  Each Gram is divided by ``unit`` = theta_1 first: its entries
     are at most ||y_i|| ||y_j|| <= theta_1, so no scale of Y overflows the
-    sums.  (T + K + 1) eps ||y_i|| ||y_j|| bounds the rounding of an entry of
-    Y_b Y_b' - U_b U_b' (Higham 3.1), and it is doubled for the rounding
-    already in U; the ||y_i|| come from the block Grams' diagonals.
+    sums.  To first order, (T + K + 1) eps ||y_i|| ||y_j|| bounds the rounding
+    of an entry of Y_b Y_b' - U_b U_b' (Higham 3.1); it is doubled for the
+    rounding already in U, with the ||y_i|| read off the Grams' diagonals.
     """
     p, T = y.shape
     cut = p - p % rows
@@ -137,7 +137,7 @@ def _gap_bound(y: np.ndarray, u: np.ndarray, rows: int, unit: float) -> float:
 
 
 def _top_eigh(y: np.ndarray, K: int):
-    """The K + 1 leading Ritz pairs of Y'Y, or the full ``eigh`` of its Gram.
+    """The K + 1 leading Ritz pairs of Y'Y, or pairs from a full ``eigh`` of the smaller Gram.
 
     Block subspace iteration with Rayleigh-Ritz (Saad, ch. 5) on q = K + 5
     columns from a fixed-seed start, until the first K residuals are at most
@@ -209,8 +209,7 @@ def _small_gram_pairs(y: np.ndarray, n: int):
     v = y.T @ u[:, :r] / np.sqrt(lam[:r])
     if r < n:
         extra = np.random.default_rng(0).standard_normal((y.shape[1], n - r))
-        extra -= v @ (v.T @ extra)
-        v = np.hstack([v, np.linalg.qr(extra)[0]])
+        v = np.hstack([v, np.linalg.qr(np.hstack([v, extra]))[0][:, r:]])
     return np.concatenate([lam, np.zeros(n - lam.size)]), v
 
 

@@ -216,7 +216,6 @@ class TestRegularPcaGramOracle:
         ("rank_deficient", 3, 4),  # p < T, so Y'Y has T - p zero eigenvalues
         ("tiny_wide", 2, 3),  # q = K + 5 >= T: full eigh
         ("tiny_tall", 1, 2),  # q >= T >= p: the top K + 1 pairs of the p x p Gram
-        ("noise_long", 3, 4),  # no gap at T >= p: likewise
     ])
     def test_matches_eigh(self, rng, case, K, n_values):
         y = {
@@ -225,7 +224,6 @@ class TestRegularPcaGramOracle:
             "rank_deficient": lambda: gen_design2(20, 60, seed=2).data.y,
             "tiny_wide": lambda: rng.standard_normal((4, 3)),
             "tiny_tall": lambda: rng.standard_normal((3, 4)),
-            "noise_long": lambda: rng.standard_normal((200, 300)),
         }[case]()
         assert _top_eigh(y, K)[0].size == n_values
         f_hat, _, eigvals = fit_regular_pca(y, K)
@@ -341,7 +339,7 @@ class TestGramFreeRegularPca:
         np.testing.assert_allclose(f_hat[:, 0], f_ref[:, 0], rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("p, T, K, rank", [
-        (200, 300, 3, 200),  # noise: no gap, so the iteration gives up
+        (200, 300, 3, 200),  # a product of Gaussian matrices has no gap: the iteration gives up
         (5, 7, 3, 2),  # q >= T, and pairs 3 and 4 are null
         (2, 6, 3, 2),  # pairs 3 and 4 lie past p
         (0, 7, 3, 0),

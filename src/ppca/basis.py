@@ -1,12 +1,11 @@
 """Additive sieve design matrices built from observed covariates.
 
-Each covariate gets a block of ``J`` basis functions (cubic B-spline,
-polynomial, Fourier, or a single constant column).  Blocks are stacked
-side by side, every non-intercept column is mean-centered, and a single
-global intercept column may be prepended.  The centered design matrix is
-what the projection and estimation code consumes; the stored knots,
-standardization parameters, and centering constants let fitted additive
-curves be evaluated at new points.
+Every design matrix has one layout: a global intercept column, then one
+block of ``J`` mean-centered basis functions (cubic B-spline, polynomial or
+Fourier) per covariate.  The centered design matrix is what the projection
+and estimation code consumes; the stored knots, standardization
+parameters, and centering constants let fitted additive curves be
+evaluated at new points.
 """
 
 from __future__ import annotations
@@ -24,30 +23,24 @@ from .exceptions import (
     ZeroVarianceError,
 )
 
-FAMILIES = ("bspline_cubic", "polynomial", "fourier", "constant")
+FAMILIES = ("bspline_cubic", "polynomial", "fourier")
 
 
 @dataclass(frozen=True)
 class BasisSpec:
     """Configuration of the additive sieve basis.
 
-    ``J`` counts basis functions per covariate.  The ``constant`` family
-    ignores the covariates entirely and produces a single column of ones
-    regardless of ``J``, ``d``, or the intercept flag.
+    ``J`` counts basis functions per covariate, so a basis on d covariates
+    has m = J d + 1 columns with the intercept.  Cubic B-splines place
+    their J - 4 interior knots at the covariate's quantiles.
     """
 
     family: str = "bspline_cubic"
     J: int = 8
-    knot_rule: str = "quantile"
-    include_intercept: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidSpecError(f"unknown basis family {self.family!r}")
-        if self.knot_rule not in ("quantile", "uniform"):
-            raise InvalidSpecError(f"unknown knot rule {self.knot_rule!r}")
-        if self.family == "constant":
-            object.__setattr__(self, "J", 1)
         if self.J < 1:
             raise InvalidSpecError("J must be >= 1")
         if self.family == "bspline_cubic" and self.J < 4:
@@ -55,42 +48,33 @@ class BasisSpec:
 
     def check_rows(self, p: int, d: int) -> None:
         """InvalidSpecError unless p exceeds the basis column count m on d covariates."""
-        m = 1 if self.family == "constant" else self.J * d + (1 if self.include_intercept else 0)
+        m = self.J * d + 1
         if p <= m:
             raise InvalidSpecError(f"need p > m but p={p}, m={m}")
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "J": self.J,
-            "knot_rule": self.knot_rule,
-            "intercept": self.include_intercept,
-        }
+        return {"family": self.family, "J": self.J}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BasisSpec":
-        unknown = set(obj) - {"family", "J", "knot_rule", "intercept"}
+        unknown = set(obj) - {"family", "J"}
         if unknown:
             raise InvalidSpecError(f"unknown basis spec keys: {sorted(unknown)}")
         if "J" in obj:
             config_int("J", obj["J"], 1)
-        kwargs = {key: obj[key] for key in ("family", "J", "knot_rule") if key in obj}
-        if "intercept" in obj:
-            if not isinstance(obj["intercept"], bool):
-                raise InvalidSpecError(f"intercept must be true or false, got {obj['intercept']!r}")
-            kwargs["include_intercept"] = obj["intercept"]
-        return cls(**kwargs)
+        return cls(**obj)
 
 
 @dataclass
 class BasisMatrix:
     """A built p x m design matrix plus everything needed to re-evaluate it.
 
-    ``knots`` holds the full (clamped) knot vector per covariate for the
-    B-spline family and is empty otherwise.  ``supports`` holds the
-    per-covariate evaluation interval on the standardized
-    scale; points outside are clamped.  ``centers`` are the column means
-    subtracted from the non-intercept columns.
+    Column 0 is the intercept; ``blocks`` slice the d covariate blocks after
+    it.  ``knots`` holds the full (clamped) knot vector per covariate for
+    the B-spline family and ``None`` per covariate otherwise.  ``supports``
+    holds the per-covariate evaluation interval on the standardized scale;
+    points outside are clamped.  ``centers`` are the column means
+    subtracted from the block columns, with 0 for the intercept.
     """
 
     values: np.ndarray
@@ -114,9 +98,9 @@ class BasisMatrix:
 
     @property
     def blocks(self) -> list:
-        """Column slices of the d covariate blocks, after the intercept column if any."""
-        start, J = (1 if self.spec.include_intercept else 0), self.spec.J
-        return [slice(start + l * J, start + (l + 1) * J) for l in range(self.d)]
+        """Column slices of the d covariate blocks, after the intercept column."""
+        J = self.spec.J
+        return [slice(1 + l * J, 1 + (l + 1) * J) for l in range(self.d)]
 
 
 def standardize_covariates(X: np.ndarray):
@@ -152,19 +136,14 @@ def default_J(p: int, T: int, d: int) -> int:
     return max(4, min(math.floor(3.0 * (p * min(T, p)) ** 0.25), (p - 2) // d - 1))
 
 
-def _bspline_knots(x: np.ndarray, J: int, rule: str) -> np.ndarray:
-    """Clamped cubic knot vector with J - 4 interior knots."""
+def _bspline_knots(x: np.ndarray, J: int) -> np.ndarray:
+    """Clamped cubic knot vector with J - 4 interior knots at quantiles of x."""
     lo, hi = float(x.min()), float(x.max())
     if hi <= lo:
         raise InvalidSpecError("covariate has no spread; cannot place knots")
     n_int = J - 4
     if n_int > 0:
-        if rule == "quantile":
-            qs = np.arange(1, n_int + 1) / (n_int + 1)
-            interior = np.quantile(x, qs)
-        else:
-            interior = lo + (hi - lo) * np.arange(1, n_int + 1) / (n_int + 1)
-        interior = np.asarray(interior, dtype=float)
+        interior = np.quantile(x, np.arange(1, n_int + 1) / (n_int + 1))
         eps = 1e-12 * max(1.0, abs(hi - lo))
         if np.any(np.diff(interior) <= eps) or interior[0] <= lo or interior[-1] >= hi:
             raise InvalidSpecError(
@@ -243,23 +222,12 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
     if not np.all(np.isfinite(X)):
         raise InvalidSpecError("covariate matrix has non-finite entries")
     p, d = X.shape
-
-    if spec.family == "constant":
-        return BasisMatrix(
-            values=np.ones((p, 1)),
-            spec=spec,
-            knots=[],
-            supports=[],
-            standardization=[],
-            centers=np.zeros(1),
-        )
-
     spec.check_rows(p, d)
 
     Xs, std_params = standardize_covariates(X)
     supports = [(float(x.min()), float(x.max())) for x in Xs.T]
     knots = [
-        _bspline_knots(x, spec.J, spec.knot_rule) if spec.family == "bspline_cubic" else None
+        _bspline_knots(x, spec.J) if spec.family == "bspline_cubic" else None
         for x in Xs.T
     ]
     raw = _raw_design(spec, knots, supports, Xs)
@@ -273,19 +241,13 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
             RankWarning,
         )
 
-    if spec.include_intercept:
-        values = np.hstack([np.ones((p, 1)), centered])
-        centers = np.concatenate(([0.0], centers))
-    else:
-        values = centered
-
     return BasisMatrix(
-        values=values,
+        values=np.hstack([np.ones((p, 1)), centered]),
         spec=spec,
         knots=knots,
         supports=supports,
         standardization=std_params,
-        centers=centers,
+        centers=np.concatenate(([0.0], centers)),
     )
 
 
@@ -295,7 +257,7 @@ class CurveValues:
 
     ``total`` is n x K; ``per_covariate`` is n x d x K with the centered
     contribution of each covariate block; ``intercept`` is the length-K
-    constant term (zeros when the basis has no intercept).
+    constant term, the coefficients of the intercept column.
     """
 
     total: np.ndarray
@@ -306,9 +268,8 @@ class CurveValues:
 def design_row(basis: BasisMatrix, x: np.ndarray) -> np.ndarray:
     """Evaluate the centered design matrix at new points (n x m)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    spec = basis.spec
-    if spec.family == "constant":
-        return np.ones((x.shape[0], 1))
+    if x.ndim != 2:
+        raise InvalidSpecError(f"evaluation points must be n x d, got shape {x.shape}")
     if x.shape[1] != basis.d:
         raise InvalidSpecError(
             f"expected points with d={basis.d} coordinates, got {x.shape[1]}"
@@ -317,11 +278,8 @@ def design_row(basis: BasisMatrix, x: np.ndarray) -> np.ndarray:
         raise InvalidSpecError("evaluation points have non-finite entries")
     mu, sd = np.array(basis.standardization).T
     xs = (x - mu) / sd
-    rows = _raw_design(spec, basis.knots, basis.supports, xs)
-    rows = rows - basis.centers[1 if spec.include_intercept else 0 :]
-    if spec.include_intercept:
-        rows = np.hstack([np.ones((rows.shape[0], 1)), rows])
-    return rows
+    rows = _raw_design(basis.spec, basis.knots, basis.supports, xs) - basis.centers[1:]
+    return np.hstack([np.ones((rows.shape[0], 1)), rows])
 
 
 def eval_curves(B_hat: np.ndarray, basis: BasisMatrix, x: np.ndarray) -> CurveValues:
@@ -340,16 +298,7 @@ def eval_curves(B_hat: np.ndarray, basis: BasisMatrix, x: np.ndarray) -> CurveVa
         )
     rows = design_row(basis, x)
     n, K = rows.shape[0], B_hat.shape[1]
-    total = rows @ B_hat
-    spec = basis.spec
-    if spec.family == "constant":
-        return CurveValues(
-            total=total,
-            per_covariate=np.zeros((n, 0, K)),
-            intercept=np.zeros(K),
-        )
     per_cov = np.empty((n, basis.d, K))
     for l, sl in enumerate(basis.blocks):
         per_cov[:, l, :] = rows[:, sl] @ B_hat[sl, :]
-    intercept = B_hat[0, :].copy() if spec.include_intercept else np.zeros(K)
-    return CurveValues(total=total, per_covariate=per_cov, intercept=intercept)
+    return CurveValues(total=rows @ B_hat, per_covariate=per_cov, intercept=B_hat[0, :].copy())

@@ -91,8 +91,7 @@ def cmd_fit(args) -> int:
     fit = fit_projected_pca(panel, projector, k)
     out.mkdir(parents=True, exist_ok=True)
     write_fit_bundle(out, fit, spec.to_dict(), basis.m)
-    if spec.family != "constant":
-        _write_curves_csv(out / "curves.csv", fit.b_hat, basis)
+    _write_curves_csv(out / "curves.csv", fit.b_hat, basis)
     _write_model_manifest(out / "manifest.json", args, spec, k)
     return 0
 

@@ -38,6 +38,7 @@ from .estimator import (
 )
 from .exceptions import (
     BoundaryWarning,
+    DimensionMismatchError,
     RangeEmptyError,
     SingularWeightError,
 )
@@ -165,6 +166,8 @@ def select_k(y: np.ndarray, P: Optional[Projector], m: int) -> SelectionResult:
     lambda_1 before forming ratios; ties pick the smallest k.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        raise DimensionMismatchError("Y must be 2-dimensional")
     if m < 4:
         raise RangeEmptyError(f"need m >= 4 for a nonempty search range, got m={m}")
     T = y.shape[1]

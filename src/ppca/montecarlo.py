@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +35,6 @@ _SCENARIO_KEYS = (
     ("design", "design"),
     ("p_grid", "p_grid"),
     ("T_grid", "t_grid"),
-    ("K", "k"),
     ("methods", "methods"),
     ("n_reps", "n_reps"),
     ("seed", "seed"),
@@ -46,14 +46,14 @@ class Scenario:
     """Configuration of one Monte Carlo experiment.
 
     Every replication fits cubic B-splines with J = ``basis.default_J(p, T, d)``;
-    every (p, T) cell must be one the design can draw and that basis can fit,
-    and K must be the design's factor count, below every T.
+    every (p, T) cell must be one the design can draw and that basis can fit.
+    Every fit takes K = ``k``, the designs' factor count, so every T must exceed it.
     """
 
+    k: ClassVar[int] = DESIGN_K
     design: str = "design2"
     p_grid: tuple = (50, 100, 200)
     t_grid: tuple = (10,)
-    k: int = 3
     methods: tuple = ("projected_pca", "regular_pca")
     n_reps: int = 100
     seed: int = 0
@@ -69,7 +69,7 @@ class Scenario:
             raise InvalidSpecError(f"unknown methods {bad}")
         if not self.methods:
             raise InvalidSpecError("at least one method is required")
-        for attr, key, low in (("k", "K", 1), ("n_reps", "n_reps", 1), ("seed", "seed", 0)):
+        for attr, key, low in (("n_reps", "n_reps", 1), ("seed", "seed", 0)):
             object.__setattr__(self, attr, config_int(key, getattr(self, attr), low))
         for attr, key in (("p_grid", "p_grid"), ("t_grid", "T_grid")):
             grid = tuple(config_int(f"{key} entry", v, 1) for v in getattr(self, attr))
@@ -81,8 +81,6 @@ class Scenario:
             for T in self.t_grid:
                 d = check_shape(self.design, p, T)
                 BasisSpec(J=default_J(p, T, d)).check_rows(p, d)
-        if self.k != DESIGN_K:  # the truths the errors are measured against have DESIGN_K columns
-            raise InvalidSpecError(f"K must be {self.design}'s factor count {DESIGN_K}, got {self.k}")
         if min(self.t_grid) <= self.k:  # every fit needs K < T
             raise InvalidSpecError(f"T_grid entries must exceed K={self.k}: {list(self.t_grid)}")
 

@@ -160,7 +160,6 @@ def convergence_study():
         design="design2",
         p_grid=(50, 100, 200, 400),
         t_grid=(10,),
-        k=3,
         methods=("projected_pca", "regular_pca", "sieve_ls_known_factors"),
         n_reps=100,
         seed=42,
@@ -263,7 +262,6 @@ def test_criterion_8_parallel_determinism(tmp_path, report):
         design="design2",
         p_grid=(40, 60),
         t_grid=(10,),
-        k=3,
         methods=("projected_pca", "regular_pca"),
         n_reps=4,
         seed=99,

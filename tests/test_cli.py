@@ -95,50 +95,32 @@ def test_out_refused_before_reading(tmp_path, capsys, monkeypatch, command):
 
 
 class TestFit:
-    def test_constant_basis_closed_form(self, tmp_path, rng):
-        p, T = 30, 12
-        y = rng.standard_normal((p, T))
-        x = rng.standard_normal((p, 1))
-        y_path, x_path = _write_panel(tmp_path, y, x)
-        spec_path = tmp_path / "basis.json"
-        spec_path.write_text(
-            json.dumps({"family": "constant", "J": 1, "knot_rule": "quantile",
-                        "intercept": True})
-        )
-        out = tmp_path / "fit"
-        rc = main([
-            "fit", "--data", str(y_path), "--covariates", str(x_path),
-            "--k", "1", "--basis", str(spec_path), "--out", str(out),
-        ])
-        assert rc == 0
-        factors, header = read_matrix(out / "factors.csv")
-        assert header == ["f1"]
-        ybar = y.mean(axis=0)
-        target = np.sqrt(T) * ybar / np.linalg.norm(ybar)
-        sign = np.sign(factors[:, 0] @ target)
-        np.testing.assert_allclose(sign * factors[:, 0], target, atol=1e-10)
-
     def test_missing_file_exit_2(self, tmp_path, capsys):
         # a missing file, a ragged Y.csv, then a --basis spec that is missing, not
-        # JSON, has a flag given as a string, or has the deleted standardize key
+        # JSON, or has a deleted key (standardize, knot_rule, intercept) or family
         y_path, x_path = _write_panel(tmp_path, np.ones((2, 2)), np.ones((2, 1)))
         (tmp_path / "ok").mkdir()
         good_y, good_x = _write_panel(tmp_path / "ok", np.ones((8, 3)), np.arange(8.0)[:, None])
         y_path.write_text("1.0,2.0\n3.0\n")
         bad_spec = tmp_path / "bad.json"
         bad_spec.write_text("{not json")
-        str_flag = tmp_path / "str_flag.json"
-        str_flag.write_text(json.dumps({"family": "polynomial", "J": 2, "intercept": "false"}))
-        old_key = tmp_path / "old_key.json"
-        old_key.write_text(json.dumps({"family": "polynomial", "J": 2, "standardize": True}))
+        old_specs = []
+        for key, value, msg in (
+            ("standardize", True, "unknown basis spec keys: ['standardize']"),
+            ("knot_rule", "quantile", "unknown basis spec keys: ['knot_rule']"),
+            ("intercept", True, "unknown basis spec keys: ['intercept']"),
+            ("family", "constant", "unknown basis family 'constant'"),
+        ):
+            path = tmp_path / f"old_{key}.json"
+            path.write_text(json.dumps({"family": "polynomial", "J": 2, key: value}))
+            old_specs.append((good_y, good_x, ["--basis", str(path)], msg))
         for data, covariates, basis, msg in (
             (tmp_path / "nope.csv", tmp_path / "nope2.csv", [], "error"),
             (y_path, x_path, [], "row 2 has 1 fields"),
             (good_y, good_x, ["--basis", str(tmp_path / "nope.json")],
              f"file not found: {tmp_path / 'nope.json'}"),
             (good_y, good_x, ["--basis", str(bad_spec)], f"{bad_spec}: invalid JSON"),
-            (good_y, good_x, ["--basis", str(str_flag)], "intercept must be true or false"),
-            (good_y, good_x, ["--basis", str(old_key)], "unknown basis spec keys: ['standardize']"),
+            *old_specs,
         ):
             rc = main([
                 "fit", "--data", str(data), "--covariates", str(covariates), *basis,
@@ -359,7 +341,7 @@ class TestAutoK:
 class TestBenchmark:
     def test_small_run_and_bad_reps(self, tmp_path, capsys):
         scen = {
-            "design": "design2", "p_grid": [40], "T_grid": [10], "K": 3,
+            "design": "design2", "p_grid": [40], "T_grid": [10],
             "methods": ["projected_pca", "select_k_projected", "select_k_plain"],
             "n_reps": 2, "seed": 1,
         }
@@ -373,11 +355,11 @@ class TestBenchmark:
         assert {(m, k) for m in scen["methods"][1:] for k in ("k_hit", "k_abs_err")} <= cells
         assert (out / "raw_errors.csv").exists()
         # a float, string or bool grid entry was coerced, a repeated grid entry
-        # counted its draws twice in the aggregate, and J_rule and basis_family are
+        # counted its draws twice in the aggregate, and J_rule, basis_family and K are
         # deleted keys; a string or number where a list belongs was iterated
         not_lists = ({"methods": "regular_pca"}, {"p_grid": "40"}, {"p_grid": 40})
         bad_out = tmp_path / "bad"
-        for bad in ({"n_reps": 0}, {"p_grid": ["a"]}, {"K": "3"}, {"K": 0}, {"seed": "x"},
+        for bad in ({"n_reps": 0}, {"p_grid": ["a"]}, {"K": 3}, {"seed": "x"},
                     {"seed": -1}, {"p_grid": [50.5]}, {"p_grid": ["60"]}, {"p_grid": [True]},
                     {"p_grid": [40, 40]}, {"J_rule": {"C": 3}}, {"basis_family": "polynomial"},
                     *not_lists):
@@ -401,9 +383,9 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("bad, message", [
         # every fit refuses K >= T, so each cell would record only KTooLargeError
-        ({"T_grid": [3], "K": 3}, "T_grid entries must exceed K=3: [3]"),
-        # both designs draw three factors, so a K = 9 fit cannot be aligned with them
-        ({"T_grid": [10], "K": 9}, "K must be design2's factor count 3, got 9"),
+        ({"T_grid": [3]}, "T_grid entries must exceed K=3: [3]"),
+        # both designs draw three factors and every fit takes K = 3, so K is no key
+        ({"T_grid": [10], "K": 9}, "unknown scenario keys: ['K']"),
     ], ids=["T_not_above_K", "K_not_the_designs"])
     def test_k_the_cells_cannot_use_exits_2(self, tmp_path, capsys, bad, message):
         path, out = tmp_path / "scen.json", tmp_path / "bench"

@@ -13,7 +13,6 @@ SMALL = Scenario(
     design="design2",
     p_grid=(40, 60),
     t_grid=(10,),
-    k=3,
     methods=("projected_pca", "regular_pca", "sieve_ls_known_factors"),
     n_reps=3,
     seed=123,
@@ -25,7 +24,7 @@ class TestScenario:
     def test_json_round_trip(self):
         obj = SMALL.to_dict()
         # the key order is the benchmark manifest's
-        assert list(obj) == ["design", "p_grid", "T_grid", "K", "methods", "n_reps", "seed"]
+        assert list(obj) == ["design", "p_grid", "T_grid", "methods", "n_reps", "seed"]
         assert Scenario.from_dict(obj) == SMALL
 
     def test_unknown_key_rejected(self):

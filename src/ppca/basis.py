@@ -41,8 +41,7 @@ class BasisSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidSpecError(f"unknown basis family {self.family!r}")
-        if self.J < 1:
-            raise InvalidSpecError("J must be >= 1")
+        config_int("J", self.J, 1)
         if self.family == "bspline_cubic" and self.J < 4:
             raise InvalidSpecError("cubic B-splines need J >= 4")
 
@@ -60,8 +59,6 @@ class BasisSpec:
         unknown = set(obj) - {"family", "J"}
         if unknown:
             raise InvalidSpecError(f"unknown basis spec keys: {sorted(unknown)}")
-        if "J" in obj:
-            config_int("J", obj["J"], 1)
         return cls(**obj)
 
 
@@ -292,6 +289,8 @@ def eval_curves(B_hat: np.ndarray, basis: BasisMatrix, x: np.ndarray) -> CurveVa
     B_hat = np.asarray(B_hat, dtype=float)
     if B_hat.ndim == 1:
         B_hat = B_hat[:, None]
+    if B_hat.ndim != 2:
+        raise InvalidSpecError(f"coefficients must be 1-D or 2-D, got shape {B_hat.shape}")
     if B_hat.shape[0] != basis.m:
         raise InvalidSpecError(
             f"coefficient rows ({B_hat.shape[0]}) != basis columns ({basis.m})"

@@ -8,6 +8,7 @@ what makes the reproducibility guarantees of the CLI checkable.
 from __future__ import annotations
 
 import datetime
+import itertools
 import json
 import numbers
 import re
@@ -19,24 +20,38 @@ from . import __version__
 from .exceptions import InputError, InvalidSpecError
 
 
+_BLOCK_CELLS = 1 << 13  # cells formatted per write: about 160 kB of float text
+
+
 def write_csv(path, header, rows) -> None:
     """The one CSV writer: an optional header, then each row's cells joined by ``,``.
 
     Cells go through ``str``, which gives a Python float its shortest
-    round-trip digits.
+    round-trip digits.  Rows are formatted and written in blocks of about
+    ``_BLOCK_CELLS`` cells, so the file's text is never held whole.
     """
-    lines = [] if header is None else [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as f:
+        wrote = header is not None
+        if wrote:
+            f.write(",".join(header) + "\n")
+        block, cells = [], 0
+        for row in rows:
+            block.append(",".join(map(str, row)) + "\n")
+            cells += len(row)
+            if cells >= _BLOCK_CELLS:
+                f.write("".join(block))
+                block, cells, wrote = [], 0, True
+        if block or not wrote:  # a file of no lines is one newline
+            f.write("".join(block) or "\n")
 
 
 def write_matrix(path, M: np.ndarray, header=None) -> None:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if header is not None and len(header) != M.shape[1]:
         raise InputError("header length does not match column count")
-    # an exhausted list iterator drops its list, which frees the row lists before
-    # write_csv joins the text
-    write_csv(path, header, iter(M.tolist()))
+    step = max(1, _BLOCK_CELLS // max(1, M.shape[1]))
+    # only one block of rows is ever converted to Python floats
+    write_csv(path, header, (row for lo in range(0, len(M), step) for row in M[lo:lo + step].tolist()))
 
 
 def _read_text(path: Path, encoding: str) -> str:
@@ -49,38 +64,85 @@ def _read_text(path: Path, encoding: str) -> str:
         raise InputError(f"{path}: not {encoding} text: {exc}") from exc
 
 
+def _stripped_lines(f):
+    """The lines of ``f.read().strip().splitlines()``, read one at a time."""
+    held, blank = None, []  # the last line with content; whitespace-only lines after it
+    for segment in f:
+        for line in segment.splitlines():
+            if not line or line.isspace():
+                if held is not None:
+                    blank.append(line)
+                continue
+            if held is None:
+                line = line.lstrip()
+            else:
+                yield held
+                yield from blank
+                blank.clear()
+            held = line
+    if held is not None:
+        yield held.rstrip()
+
+
+def _checked_rows(path: Path, lines, width: int):
+    """``lines`` passed through, each checked to hold ``width`` fields."""
+    for i, line in enumerate(lines):
+        n = line.count(",") + 1 if line else 0  # np.loadtxt would skip an empty row
+        if n != width:
+            raise InputError(f"{path}: row {i + 1} has {n} fields, expected {width}")
+        yield line
+
+
+def _parse_lines(path: Path, lines):
+    first = next(lines, None)
+    if first is None:
+        raise InputError(f"empty file: {path}")
+    header = None
+    cells = first.split(",")
+    try:
+        [float(v) for v in cells]
+    except ValueError:
+        header = [h.strip() for h in cells]
+        first = next(lines, None)
+        if first is None:
+            raise InputError(f"{path}: header but no data rows")
+    rows = _checked_rows(path, itertools.chain([first], lines), first.count(",") + 1)
+    try:
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2), header
+    except UnicodeDecodeError:  # a ValueError too, but read_matrix words it
+        raise
+    except ValueError as exc:
+        for _ in rows:  # a row of the wrong width anywhere is reported first
+            pass
+        # numpy counts rows from 0
+        msg = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + 1}", str(exc))
+        raise InputError(f"{path}: {msg}") from exc
+
+
 def read_matrix(path):
     """Read a CSV matrix, tolerating an optional single header row.
 
     Returns ``(matrix, header_or_None)``.  Cells are parsed by ``np.loadtxt``,
     which, unlike ``float()``, rejects digit separators (``1_0``) and
-    non-ASCII digits.  Errors count rows from 1 after the header.
+    non-ASCII digits.  Errors count rows from 1 after the header.  The file
+    streams line by line into the parser, which reads it as the lines of its
+    stripped text: only the parsed array is ever held whole.
     """
     path = Path(path)
-    text = _read_text(path, "utf-8-sig").strip()  # a BOM would make row 1 a header
-    if not text:
-        raise InputError(f"empty file: {path}")
-    lines = text.splitlines()
-    header = None
-    first = lines[0].split(",")
     try:
-        [float(v) for v in first]
-    except ValueError:
-        header = [h.strip() for h in first]
-        lines = lines[1:]
-        if not lines:
-            raise InputError(f"{path}: header but no data rows")
-    width = lines[0].count(",") + 1
-    for i, line in enumerate(lines):
-        n = line.count(",") + 1 if line else 0  # np.loadtxt would skip an empty row
-        if n != width:
-            raise InputError(f"{path}: row {i + 1} has {n} fields, expected {width}")
-    try:
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2), header
-    except ValueError as exc:
-        # numpy counts rows from 0
-        msg = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + 1}", str(exc))
-        raise InputError(f"{path}: {msg}") from exc
+        # utf-8-sig: a BOM would make row 1 a header
+        with path.open(encoding="utf-8-sig", newline="\n") as f:
+            try:
+                return _parse_lines(path, _stripped_lines(f))
+            except InputError:
+                for _ in f:  # an undecodable byte anywhere is reported first
+                    pass
+                raise
+    except FileNotFoundError as exc:
+        raise InputError(f"file not found: {path}") from exc
+    except UnicodeDecodeError:
+        _read_text(path, "utf-8-sig")  # its error gives the byte's offset in the whole file
+        raise
 
 
 def read_json_object(path) -> dict:
@@ -112,7 +174,9 @@ def sha256_file(path) -> str:
     import hashlib  # ~5 ms of OpenSSL; ``import ppca`` reaches this module for ``config_int``
 
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    with Path(path).open("rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
     return h.hexdigest()
 
 

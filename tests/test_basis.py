@@ -146,6 +146,12 @@ class TestEvalCurves:
             with pytest.raises(InvalidSpecError):
                 eval_curves(np.zeros((basis.m, 1)), basis, points)
 
+    def test_coefficients_of_more_than_two_dimensions_rejected(self, rng):
+        # an (m, 1, 1) B-hat ended in numpy's matmul ValueError
+        basis = build_basis(rng.standard_normal((40, 1)), BasisSpec(J=5))
+        with pytest.raises(InvalidSpecError, match="1-D or 2-D"):
+            eval_curves(np.zeros((basis.m, 1, 1)), basis, np.zeros((2, 1)))
+
     def test_design2_noiseless_curve_recovery(self):
         # fit with U=0, Gamma=0: recovered curves approach the truth as J grows
         from ppca.estimator import fit_projected_pca, identification_transform, PanelData
@@ -241,6 +247,12 @@ class TestSpecSerialization:
         # bool is a subclass of int, so "J": true would otherwise read as J = 1
         with pytest.raises(InvalidSpecError, match="J must be an integer"):
             BasisSpec.from_dict({"family": "polynomial", "J": True})
+
+    @pytest.mark.parametrize("J", [True, 2.5, "8"])
+    def test_constructor_checks_j_type(self, J):
+        # library callers get the typed error too, not J read as 1 or a raw TypeError
+        with pytest.raises(InvalidSpecError, match="J must be an integer"):
+            BasisSpec(family="polynomial", J=J)
 
     def test_bad_json(self):
         # invalid JSON text is the file reader's error: TestFit::test_missing_file_exit_2

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import ppca
 
 from ppca.basis import BasisSpec, build_basis, eval_curves
 from ppca.cli import main
-from ppca.dataio import read_json_object, read_matrix, write_matrix
+from ppca.dataio import read_json_object, read_matrix, sha256_file, write_matrix
 from ppca.exceptions import InputError
 
 
@@ -179,17 +180,38 @@ class TestCsvRoundTrip:
         b, _ = read_matrix(path)
         np.testing.assert_array_equal(a, b)
 
-    def test_write_frees_rows_before_joining(self, tmp_path, rng):
-        # the text, its lines and the encoded bytes make about three copies of the file;
-        # the row lists of M.tolist() add about two more if held through the join
-        path = tmp_path / "m.csv"
+    @staticmethod
+    def _peak(fn, *args):
         tracemalloc.start()
         try:
-            write_matrix(path, rng.standard_normal((2000, 50)))
-            peak = tracemalloc.get_traced_memory()[1]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * path.stat().st_size
+
+    def test_write_frees_rows_before_joining(self, tmp_path, rng):
+        # rows are formatted and written a block at a time: neither the text nor the
+        # matrix's Python floats are ever held whole (the matrix itself is 0.41x the file)
+        path, a = tmp_path / "m.csv", rng.standard_normal((2000, 50))
+        peak = self._peak(write_matrix, path, a)
+        assert peak < 0.5 * path.stat().st_size
+
+    def test_write_peak_does_not_grow_with_rows(self, tmp_path, rng):
+        path = tmp_path / "m.csv"
+        small, large = rng.standard_normal((2000, 50)), rng.standard_normal((8000, 50))
+        assert self._peak(write_matrix, path, large) < 1.5 * self._peak(write_matrix, path, small)
+
+    def test_read_holds_only_the_parsed_array(self, tmp_path, rng):
+        # the file streams line by line into np.loadtxt; the array alone is 0.41x the file
+        path = tmp_path / "m.csv"
+        write_matrix(path, rng.standard_normal((2000, 50)))
+        assert self._peak(read_matrix, path) < 0.6 * path.stat().st_size
+
+    def test_checksum_spans_chunks(self, tmp_path, rng):
+        path = tmp_path / "m.csv"
+        write_matrix(path, rng.standard_normal((1000, 100)))  # about 2 MB: two 1 MiB chunks
+        assert path.stat().st_size > 1 << 20
+        assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_write_bytes_and_read_bits(self, tmp_path):
         a = np.array([[-0.0, 5e-324, 1e308], [0.1, 3.0, -7.0], [0.0, 1e-7, 2.0**60]])
@@ -222,6 +244,58 @@ class TestCsvRoundTrip:
         with pytest.raises(InputError) as info:
             read_matrix(path)
         assert str(path) in str(info.value) and where in str(info.value)
+
+
+MIB = 1 << 20
+
+
+class TestReadParity:
+    """Inputs whose result the line-by-line reader must keep from the whole-text one.
+
+    Each reads as the lines of the file's stripped text, split by ``str.splitlines``,
+    so the form feed ends a line; and errors take the order of the whole-text reader:
+    an undecodable byte first, then a row of the wrong width, then a cell that does
+    not parse.
+    """
+
+    CASES = {
+        "trailing_blank_lines": (b"1.0,2.0\n3.0,4.0\n\n  \n\t\n", [[1.0, 2.0], [3.0, 4.0]], None),
+        "leading_blank_lines": (b"\n \n1.0,2.0\n3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]], None),
+        "crlf": (b"a,b\r\n1.0,2.0\r\n3.0,4.0\r\n", [[1.0, 2.0], [3.0, 4.0]], ["a", "b"]),
+        "no_final_newline": (b"1.0,2.0\n3.0,4.0", [[1.0, 2.0], [3.0, 4.0]], None),
+        "carriage_returns_only": (b"1.0\r2.0\r", [[1.0], [2.0]], None),
+        "padded_cells": (b"  1.0, 2.0\n3.0,4.0 \n", [[1.0, 2.0], [3.0, 4.0]], None),
+        "bom_and_header": (b"\xef\xbb\xbfa,b\n1.0,2.0\n", [[1.0, 2.0]], ["a", "b"]),
+        "form_feed": (b"1.0\x0c\n2.0\n", "{path}: row 2 has 0 fields, expected 1"),
+        "blank_after_header": (b"a\n\n1.0\n", "{path}: row 1 has 0 fields, expected 1"),
+        "interior_blank_line": (b"1.0\n\n2.0\n", "{path}: row 2 has 0 fields, expected 1"),
+        "interior_whitespace_line": (
+            b"1.0\n  \n2.0\n", "{path}: could not convert string '  ' to float64 at row 2, column 1."),
+        "bad_cell_then_bad_width": (b"1.0\nx\n2.0,3.0\n", "{path}: row 3 has 2 fields, expected 1"),
+        "bad_byte_after_first_mib": (
+            b"1.0\n" * (MIB // 4 + 3) + b"2.\xff\n",
+            "{path}: not utf-8-sig text: 'utf-8' codec can't decode byte 0xff in position "
+            "1048590: invalid start byte"),
+        "bad_width_then_bad_bytes": (
+            b"1.0\n2.0,3.0\n" + b"1.0\n" * (MIB // 4) + b"\xe2\x82\n",
+            "{path}: not utf-8-sig text: 'utf-8' codec can't decode bytes in position "
+            "1048588-1048589: invalid continuation byte"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_reads_as_whole_text_reader(self, tmp_path, case):
+        data, *expected = self.CASES[case]
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        if isinstance(expected[0], str):
+            with pytest.raises(InputError) as info:
+                read_matrix(path)
+            assert str(info.value) == expected[0].format(path=path)
+        else:
+            matrix, header = read_matrix(path)
+            assert matrix.shape == np.shape(expected[0])
+            assert matrix.tobytes() == np.array(expected[0]).tobytes()
+            assert header == expected[1]
 
 
 class TestSimulate:

@@ -94,6 +94,7 @@ def _checked_rows(path: Path, lines, width: int):
 
 
 def _parse_lines(path: Path, lines):
+    """``(matrix, header_or_None)`` from a file's stripped lines."""
     first = next(lines, None)
     if first is None:
         raise InputError(f"empty file: {path}")
@@ -130,7 +131,8 @@ def read_matrix(path):
     """
     path = Path(path)
     try:
-        # utf-8-sig: a BOM would make row 1 a header
+        # utf-8-sig: a BOM would make row 1 a header; newline="\n" ends each read at a
+        # "\n" only, so str.splitlines sees every "\r\n" whole
         with path.open(encoding="utf-8-sig", newline="\n") as f:
             try:
                 return _parse_lines(path, _stripped_lines(f))

@@ -250,12 +250,12 @@ MIB = 1 << 20
 
 
 class TestReadParity:
-    """Inputs whose result the line-by-line reader must keep from the whole-text one.
+    """Inputs, each with the matrix and header or the exact error it must read as.
 
-    Each reads as the lines of the file's stripped text, split by ``str.splitlines``,
-    so the form feed ends a line; and errors take the order of the whole-text reader:
-    an undecodable byte first, then a row of the wrong width, then a cell that does
-    not parse.
+    A file reads as the lines of its stripped text split by ``str.splitlines``, so
+    a form feed ends a line, and errors come in a fixed order however far apart
+    they lie: an undecodable byte, with its offset in the whole file, then the
+    first row of the wrong width, then the first cell that does not parse.
     """
 
     CASES = {
@@ -283,7 +283,7 @@ class TestReadParity:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_reads_as_whole_text_reader(self, tmp_path, case):
+    def test_reads_as_lines_of_stripped_text(self, tmp_path, case):
         data, *expected = self.CASES[case]
         path = tmp_path / "m.csv"
         path.write_bytes(data)

@@ -151,10 +151,11 @@ def _bspline_knots(x: np.ndarray, J: int) -> np.ndarray:
     return np.concatenate(([lo] * 4, interior, [hi] * 4))
 
 
-def _bspline_block(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _bspline_block(x: np.ndarray, t: np.ndarray, out: np.ndarray, col: int) -> None:
     # de Boor's recurrence over all points at once, in the operation order of scipy's
-    # BSpline.design_matrix and added into zeros as its toarray does (-0.0 reads 0.0),
-    # so bit for bit the same; the knots of _bspline_knots leave no zero denominator
+    # BSpline.design_matrix, written into columns col.. of the zeroed C-ordered out by flat
+    # index; + 0.0 reads -0.0 as 0.0, as scipy's toarray adding into zeros does, so bit for
+    # bit the same; the knots of _bspline_knots leave no zero denominator
     k = 3
     n = t.size - k - 1
     xc = np.clip(x, t[0], t[-1])
@@ -168,41 +169,44 @@ def _bspline_block(x: np.ndarray, t: np.ndarray) -> np.ndarray:
             nxt[i - 1] += w * (tl[i] - xc)
             nxt.append(w * (xc - tl[i - j]))
         h = nxt
-    out = np.zeros((xc.size, n))
-    for i, col in enumerate(h):
-        out[np.arange(xc.size), ell - k + i] += col
-    return out
+    first = np.arange(xc.size) * out.shape[1] + (col - k) + ell  # each row's first nonzero
+    for i, values in enumerate(h):
+        np.put(out, first + i, values + 0.0)
 
 
-def _polynomial_block(x: np.ndarray, J: int) -> np.ndarray:
-    return np.column_stack([x**j for j in range(1, J + 1)])
-
-
-def _fourier_block(x: np.ndarray, J: int, support) -> np.ndarray:
+def _fourier_block(x: np.ndarray, out: np.ndarray, support) -> None:
     lo, hi = support
     t = (x - lo) / (hi - lo)
-    cols = []
-    for j in range(1, J + 1):
+    for j in range(1, out.shape[1] + 1):
         freq = (j + 1) // 2
-        if j % 2 == 1:
-            cols.append(np.sin(2 * np.pi * freq * t))
-        else:
-            cols.append(np.cos(2 * np.pi * freq * t))
-    return np.column_stack(cols)
+        out[:, j - 1] = (np.sin if j % 2 == 1 else np.cos)(2 * np.pi * freq * t)
 
 
 def _raw_design(spec: BasisSpec, knots, supports, xs: np.ndarray) -> np.ndarray:
-    """Uncentered blocks of all covariates side by side, at xs clipped to the supports."""
-    blocks = []
+    """The intercept column, then the uncentered blocks of all covariates, at xs clipped to
+    the supports: one zeroed array that each block is written into."""
+    out = np.zeros((xs.shape[0], 1 + spec.J * len(supports)))
+    out[:, 0] = 1.0
     for l, (lo, hi) in enumerate(supports):
         x = np.clip(xs[:, l], lo, hi)
+        col = 1 + l * spec.J
         if spec.family == "bspline_cubic":
-            blocks.append(_bspline_block(x, knots[l]))
+            _bspline_block(x, knots[l], out, col)
         elif spec.family == "polynomial":
-            blocks.append(_polynomial_block(x, spec.J))
+            for j in range(1, spec.J + 1):
+                out[:, col + j - 1] = x**j
         else:
-            blocks.append(_fourier_block(x, spec.J, (lo, hi)))
-    return np.hstack(blocks)
+            _fourier_block(x, out[:, col:col + spec.J], (lo, hi))
+    return out
+
+
+def _abs_column_max(a: np.ndarray) -> np.ndarray:
+    """max |a| down each column of the C-ordered a, reduced over 64 rows at a time, as
+    numpy takes axis 0 of a narrow array one short row per step."""
+    n = a.shape[0] // 64 * 64
+    top = a[:n].reshape(-1, 64, a.shape[1])
+    ends = [top.max(axis=0, initial=-np.inf), -top.min(axis=0, initial=np.inf), a[n:], -a[n:]]
+    return np.vstack(ends).max(axis=0)
 
 
 def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
@@ -227,11 +231,12 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
         _bspline_knots(x, spec.J) if spec.family == "bspline_cubic" else None
         for x in Xs.T
     ]
-    raw = _raw_design(spec, knots, supports, Xs)
-    centers = raw.mean(axis=0)
-    centered = raw - centers
-    col_scale = np.abs(raw).max(axis=0)
-    dead = np.abs(centered).max(axis=0) <= 1e-12 * np.maximum(col_scale, 1.0)
+    values = _raw_design(spec, knots, supports, Xs)
+    col_scale = _abs_column_max(values)
+    centers = np.zeros(values.shape[1])
+    centers[1:] = values[:, 1:].mean(axis=0)  # each sum runs as on the blocks alone
+    values -= centers
+    dead = _abs_column_max(values) <= 1e-12 * np.maximum(col_scale, 1.0)
     if np.any(dead):
         warnings.warn(
             f"{int(dead.sum())} basis column(s) numerically zero after centering",
@@ -239,12 +244,12 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
         )
 
     return BasisMatrix(
-        values=np.hstack([np.ones((p, 1)), centered]),
+        values=values,
         spec=spec,
         knots=knots,
         supports=supports,
         standardization=std_params,
-        centers=np.concatenate(([0.0], centers)),
+        centers=centers,
     )
 
 
@@ -275,8 +280,9 @@ def design_row(basis: BasisMatrix, x: np.ndarray) -> np.ndarray:
         raise InvalidSpecError("evaluation points have non-finite entries")
     mu, sd = np.array(basis.standardization).T
     xs = (x - mu) / sd
-    rows = _raw_design(basis.spec, basis.knots, basis.supports, xs) - basis.centers[1:]
-    return np.hstack([np.ones((rows.shape[0], 1)), rows])
+    rows = _raw_design(basis.spec, basis.knots, basis.supports, xs)
+    rows -= basis.centers  # its intercept entry is 0
+    return rows
 
 
 def eval_curves(B_hat: np.ndarray, basis: BasisMatrix, x: np.ndarray) -> CurveValues:

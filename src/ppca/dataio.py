@@ -143,7 +143,10 @@ def read_matrix(path):
     except FileNotFoundError as exc:
         raise InputError(f"file not found: {path}") from exc
     except UnicodeDecodeError:
-        _read_text(path, "utf-8-sig")  # its error gives the byte's offset in the whole file
+        try:  # plain utf-8 decodes a BOM too, so it gives the bad byte's offset in the file
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not utf-8-sig text: {exc}") from exc
         raise
 
 

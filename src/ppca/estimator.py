@@ -225,7 +225,7 @@ def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
     T = y.shape[1]
     try:
         if P is not None:
-            _, s, vt = np.linalg.svd(P.q.T @ y, full_matrices=False)
+            _, s, vt = np.linalg.svd(P.coordinates(y), full_matrices=False)
             w, v = s**2, vt.T
         elif K:
             w, v = _top_eigh(y, K)

@@ -134,7 +134,7 @@ def test_g_zero(data: PanelData, P: Projector, K: int) -> TestResult:
     _, lam, eigvals = fit_regular_pca(data.y, K)
     if not eigvals[-1] > FLOOR_REL * eigvals[0]:
         raise SingularWeightError("loading Gram matrix is numerically singular")
-    z = P.q.T @ lam
+    z = P.coordinates(lam)
     s_g = float(np.sum(z**2 / eigvals))
     return _result(s_g, data.p * s_g, P.rank * K, K)
 

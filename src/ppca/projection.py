@@ -1,12 +1,12 @@
 """Factored projector P = Phi (Phi'Phi)^-1 Phi' onto the span of the sieve design.
 
-P is applied as Q (Q' M) with Q an orthonormal basis of span(Phi), and the
-least-norm sieve coefficients are B = W Q' C with Q = Phi W.  Both come from
-CholeskyQR (Fukaya et al. 2014) on full-rank columns: each centred cubic
-B-spline block sums to zero, so its last column is dropped; W is L^-T, with
-L = chol of the kept Gram, scattered into the kept rows minus each block's row
-mean, as the block indicators span the null space.  When the Cholesky fails or
-max |Q'Q - I| > ``ORTHO_TOL``, a thin SVD cut at ``DEFAULT_RANK_TOL`` is used.
+P = QQ' with Q = Phi W orthonormal, but Q is never formed: the one operation is Q'M = W'(Phi'M),
+and the least-norm sieve coefficients are B = W Q'C.  W is from CholeskyQR (Fukaya et al. 2014):
+a centred cubic B-spline block sums to zero, so its last column is dropped; W = L^-T (L = chol of
+the kept Gram) fills the kept rows less each block's row mean, the null space's direction.  W is
+kept if max |W'GW - I| <= ``ORTHO_TOL`` on G = Phi'Phi, at once or after one m-space CholeskyQR2
+pass W <- W chol(W'GW)^-T.  Else a thin SVD cut at ``DEFAULT_RANK_TOL`` keeps U_r (W = I), as
+V_r / s_r applied to Phi'M would lose up to cond(Phi) * eps.
 """
 
 from __future__ import annotations
@@ -24,48 +24,49 @@ ORTHO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Projector:
-    """Immutable factored representation of P."""
+    """Immutable factored representation of P, with Q = design @ w never formed."""
 
-    q: np.ndarray
+    design: np.ndarray  # p x m: Phi, held by reference, or U_r from the SVD
+    w: np.ndarray  # m x rank
+    coef: np.ndarray  # m x rank, B = coef @ Q'C
     rank: int
-    _coef: np.ndarray  # m x rank, q = Phi @ _coef
 
     @property
     def p(self) -> int:
-        return self.q.shape[0]
+        return self.design.shape[0]
 
-    def _check(self, M: np.ndarray) -> np.ndarray:
+    def coordinates(self, M: np.ndarray) -> np.ndarray:
+        """Q'M = W'(design' M), the coordinates of P M in the orthonormal basis Q."""
         M = np.asarray(M, dtype=float)
         if M.ndim not in (1, 2) or M.shape[0] != self.p:
             raise DimensionMismatchError(f"expected {self.p} rows, got shape {M.shape}")
-        return M
+        return self.w.T @ (self.design.T @ M)
 
     def project(self, M: np.ndarray) -> np.ndarray:
         """Apply P to the columns of M without forming P."""
-        M = self._check(M)
-        return self.q @ (self.q.T @ M)
+        return self.design @ (self.w @ self.coordinates(M))
 
     def solve_sieve_coefficients(self, C: np.ndarray) -> np.ndarray:
         """Solve (Phi'Phi) B = Phi' C in the least-norm sense (B is m x k)."""
-        C = self._check(C)
-        return self._coef @ (self.q.T @ C)
+        return self.coef @ self.coordinates(C)
 
 
 def _cholesky_qr(values: np.ndarray, blocks: list):
-    """The CholeskyQR projector with ``blocks``' last columns dropped, or None if untrusted."""
-    keep = np.ones(values.shape[1], dtype=bool)
-    keep[[b.stop - 1 for b in blocks]] = False
+    """W of CholeskyQR(2) with ``blocks``' last columns dropped, or None if untrusted."""
+    gram = values.T @ values
+    keep = np.setdiff1d(np.arange(gram.shape[0]), [b.stop - 1 for b in blocks])
+    w = np.zeros((gram.shape[0], keep.size))
     try:
-        chol = np.linalg.cholesky((values.T @ values)[np.ix_(keep, keep)])
+        w[keep] = np.linalg.inv(np.linalg.cholesky(gram[np.ix_(keep, keep)])).T
+        for b in blocks:
+            w[b] -= w[b].mean(axis=0)
+        for _ in range(2):  # CholeskyQR, then at most one CholeskyQR2 pass
+            wgw = w.T @ gram @ w
+            if w.size and np.abs(wgw - np.eye(w.shape[1])).max() <= ORTHO_TOL:  # NaN fails
+                return w
+            w = w @ np.linalg.inv(np.linalg.cholesky(wgw)).T
     except np.linalg.LinAlgError:
-        return None
-    coef = np.zeros((keep.size, chol.shape[0]))
-    coef[keep] = np.linalg.inv(chol).T
-    for b in blocks:
-        coef[b] -= coef[b].mean(axis=0)
-    q = values @ coef  # = values[:, keep] L^-T without copying the kept columns
-    if q.size and np.abs(q.T @ q - np.eye(q.shape[1])).max() <= ORTHO_TOL:  # NaN fails
-        return Projector(q=q, rank=q.shape[1], _coef=coef)
+        pass
     return None
 
 
@@ -80,11 +81,10 @@ def make_projector(phi) -> Projector:
     if not np.all(np.isfinite(values)):
         raise InvalidSpecError("design matrix has non-finite entries")
     spline = isinstance(phi, BasisMatrix) and phi.spec.family == "bspline_cubic"
-    fast = _cholesky_qr(values, phi.blocks if spline else [])
-    if fast is not None:
-        return fast
+    if (w := _cholesky_qr(values, phi.blocks if spline else [])) is not None:
+        return Projector(design=values, w=w, coef=w, rank=w.shape[1])
     u, s, vt = np.linalg.svd(values, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateBasisError("design matrix is numerically zero")
     r = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
-    return Projector(q=u[:, :r], rank=r, _coef=vt[:r].T / s[:r])
+    return Projector(design=u[:, :r], w=np.eye(r), coef=vt[:r].T / s[:r], rank=r)

@@ -276,6 +276,10 @@ class TestReadParity:
             b"1.0\n" * (MIB // 4 + 3) + b"2.\xff\n",
             "{path}: not utf-8-sig text: 'utf-8' codec can't decode byte 0xff in position "
             "1048590: invalid start byte"),
+        "bom_then_bad_byte_after_first_mib": (
+            b"\xef\xbb\xbf" + b"1.0\n" * (MIB // 4 + 3) + b"2.\xff\n",
+            "{path}: not utf-8-sig text: 'utf-8' codec can't decode byte 0xff in position "
+            "1048593: invalid start byte"),
         "bad_width_then_bad_bytes": (
             b"1.0\n2.0,3.0\n" + b"1.0\n" * (MIB // 4) + b"\xe2\x82\n",
             "{path}: not utf-8-sig text: 'utf-8' codec can't decode bytes in position "

@@ -121,12 +121,12 @@ class TestProjectedPca:
         np.testing.assert_allclose(fit.f_hat, np.sqrt(T) * v[:, :K], rtol=0, atol=1e-10)
         np.testing.assert_allclose(fit.eigvals, w[:K] / T, rtol=1e-10)
 
-    def test_near_tie_warns(self, rng):
+    def test_near_tie_warns(self, rng, q_of):
         p, T = 40, 12
         P = make_projector(rng.standard_normal((p, 4)))
         vt = np.linalg.qr(rng.standard_normal((T, 4)))[0].T
         # Z = Q'Y has singular values 3, 2, 2, 1: eigenvalues 2 and 3 tie
-        y = P.q @ np.diag([3.0, 2.0, 2.0, 1.0]) @ vt
+        y = q_of(P) @ np.diag([3.0, 2.0, 2.0, 1.0]) @ vt
         data = PanelData(y=y, x=rng.standard_normal((p, 1)))
         with pytest.warns(NearTieWarning):
             fit_projected_pca(data, P, 2)

@@ -97,12 +97,13 @@ class TestGZero:
             assert np.isfinite(inference.test_g_zero(data, P, 2).statistic)
 
     @pytest.mark.parametrize("p, T", [(150, 40), (2000, 60), (100, 400)])
-    def test_statistic_matches_inverse_weight_oracle(self, p, T):
+    def test_statistic_matches_inverse_weight_oracle(self, p, T, q_of):
         # the paper's tr((Lam'Lam/p)^-1 Lam'P Lam) / p, with the K x K inverse and a dense P
         data = gen_design2(p, T, seed=3).data
         P = make_projector(build_basis(data.x, BasisSpec(J=8)))
         _, lam, _ = fit_regular_pca(data.y, 3)
-        dense_p = P.q @ P.q.T
+        q = q_of(P)
+        dense_p = q @ q.T
         oracle = np.trace(np.linalg.inv(lam.T @ lam / p) @ (lam.T @ dense_p @ lam)) / p
         assert inference.test_g_zero(data, P, 3).statistic == pytest.approx(oracle, rel=1e-12, abs=0)
 
@@ -361,6 +362,22 @@ class TestSpanInvariance:
         ref = _span_outputs(data, build_basis(data.x, spec))
         got = _span_outputs(moved, build_basis(moved.x, spec))
         _assert_same_outputs(ref, got)
+        assert got["K_hat"] == ref["K_hat"]
+
+    @given(st.sampled_from(["design2", "calibrated"]), st.sampled_from(SPECS),
+           st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_row_permutation(self, design, spec, seed):
+        # permuting the rows of (Y, X) together permutes G_hat and Gamma_hat, so Lambda_hat,
+        # and leaves F_hat, both statistics and K_hat: the quantile knots, the standardization
+        # and the centring of each basis column see the rows as a set
+        rng = np.random.default_rng(seed)
+        data = gen_design(design, 120, 20, rng).data
+        perm = rng.permutation(data.p)
+        moved = PanelData(y=data.y[perm], x=data.x[perm])
+        ref = _span_outputs(data, build_basis(data.x, spec))
+        got = _span_outputs(moved, build_basis(moved.x, spec))
+        _assert_same_outputs({**ref, "G": ref["G"][perm], "Gamma": ref["Gamma"][perm]}, got)
         assert got["K_hat"] == ref["K_hat"]
 
     @given(st.integers(0, 10_000))

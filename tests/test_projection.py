@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppca.basis import BasisSpec, build_basis
+from ppca.basis import BasisSpec, build_basis, default_J
 from ppca.exceptions import DegenerateBasisError, DimensionMismatchError, InvalidSpecError
 from ppca.projection import make_projector
 from ppca.simulate import gen_design
@@ -52,11 +54,12 @@ class TestMakeProjector:
             P.project(probe), make_projector(phi).project(probe), atol=1e-9
         )
 
-    def test_matches_brute_force_inverse(self, rng):
+    def test_matches_brute_force_inverse(self, rng, q_of):
         phi = rng.standard_normal((6, 3))
         brute = phi @ np.linalg.inv(phi.T @ phi) @ phi.T
         P = make_projector(phi)
-        np.testing.assert_allclose(P.q @ P.q.T, brute, atol=1e-10)
+        q = q_of(P)
+        np.testing.assert_allclose(q @ q.T, brute, atol=1e-10)
 
     def test_degenerate_basis(self):
         with pytest.raises(DegenerateBasisError):
@@ -70,13 +73,22 @@ class TestMakeProjector:
             make_projector(phi)
 
 
+@pytest.fixture(scope="module")
+def harness_panel():
+    """Calibrated (5000, 10) and its basis at the harness J (J = 44, m = 177); CholeskyQR alone
+    misses the orthonormality check here (1.9e-12), so the m-space CholeskyQR2 pass must run."""
+    panel = gen_design("calibrated", 5000, 10, np.random.default_rng([0, 5000, 10, 0]))
+    x = panel.data.x
+    return panel, build_basis(x, BasisSpec(J=default_J(5000, 10, x.shape[1])))
+
+
 class TestFactorisation:
     SPECS = [BasisSpec(), BasisSpec(J=20), BasisSpec(family="polynomial", J=4),
              BasisSpec(family="fourier", J=6)]
 
     @pytest.mark.parametrize("design", ["design2", "calibrated"])
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.family}-{s.J}")
-    def test_matches_svd_oracle(self, design, spec, svd_calls):
+    def test_matches_svd_oracle(self, design, spec, svd_calls, q_of):
         panel = gen_design(design, 300, 50, np.random.default_rng(7))
         basis = build_basis(panel.data.x, spec)
         P = make_projector(basis)
@@ -86,7 +98,27 @@ class TestFactorisation:
             # each block's centred columns sum to zero: rank m - d, by the Cholesky path
             assert fast and P.rank == basis.m - basis.d
         if fast:
-            assert np.abs(P.q.T @ P.q - np.eye(P.rank)).max() <= 1e-12
+            q = q_of(P)
+            assert np.abs(q.T @ q - np.eye(P.rank)).max() <= 1e-12
+
+    def test_harness_j_takes_no_svd(self, harness_panel, svd_calls, q_of):
+        panel, basis = harness_panel
+        P = make_projector(basis)
+        assert svd_calls == [] and P.rank == basis.m - basis.d
+        _assert_matches_svd_oracle(P, basis.values, panel.data.y)
+        q = q_of(P)
+        assert np.abs(q.T @ q - np.eye(P.rank)).max() <= 1e-12
+
+    def test_harness_j_holds_no_p_by_r_array(self, harness_panel):
+        # Q would be p x 173, about the size of the design itself
+        values = harness_panel[1].values
+        tracemalloc.start()
+        try:
+            make_projector(harness_panel[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * values.nbytes
 
     def test_fallback_on_ill_conditioned_polynomials(self, svd_calls):
         panel = gen_design("design2", 300, 50, np.random.default_rng(7))

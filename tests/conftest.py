@@ -7,11 +7,6 @@ from ppca.projection import make_projector
 from ppca.simulate import gen_design2
 
 
-def q_matrix(P):
-    """Q = design @ w, the p x rank orthonormal basis that a projector applies but never forms."""
-    return P.design @ P.w
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
@@ -19,12 +14,12 @@ def rng():
 
 @pytest.fixture
 def q_of():
-    """``q_matrix``, for tests that need Q itself as an oracle."""
-    return q_matrix
+    """Q = design @ w, the p x rank orthonormal basis that a projector applies but never forms."""
+    return lambda P: P.design @ P.w
 
 
 @pytest.fixture(params=["random", "design2", "constant"])
-def spectrum_case(request, rng):
+def spectrum_case(request, rng, q_of):
     """A panel, its projector, K, and the eigenpairs of Z'Z, Z = Q'Y.
 
     The eigenpairs come from the T x T route in plain numpy (descending,
@@ -39,7 +34,7 @@ def spectrum_case(request, rng):
     else:
         data = PanelData(y=rng.standard_normal((30, 10)), x=rng.standard_normal((30, 1)))
         P, K = make_projector(np.ones((30, 1))), 1
-    z = q_matrix(P).T @ data.y
+    z = q_of(P).T @ data.y
     w, v = np.linalg.eigh(z.T @ z)
     return data, P, K, w[::-1], fix_signs(v[:, ::-1])
 

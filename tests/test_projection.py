@@ -111,14 +111,14 @@ class TestFactorisation:
 
     def test_harness_j_holds_no_p_by_r_array(self, harness_panel):
         # Q would be p x 173, about the size of the design itself
-        values = harness_panel[1].values
+        basis = harness_panel[1]
         tracemalloc.start()
         try:
-            make_projector(harness_panel[1])
+            make_projector(basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * values.nbytes
+        assert peak < 0.25 * basis.values.nbytes
 
     def test_fallback_on_ill_conditioned_polynomials(self, svd_calls):
         panel = gen_design("design2", 300, 50, np.random.default_rng(7))

@@ -200,13 +200,13 @@ def _raw_design(spec: BasisSpec, knots, supports, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _abs_column_max(a: np.ndarray) -> np.ndarray:
-    """max |a| down each column of the C-ordered a, reduced over 64 rows at a time, as
+def _column_range(a: np.ndarray):
+    """(max, min) down each column of the C-ordered a, reduced over 64 rows at a time, as
     numpy takes axis 0 of a narrow array one short row per step."""
     n = a.shape[0] // 64 * 64
     top = a[:n].reshape(-1, 64, a.shape[1])
-    ends = [top.max(axis=0, initial=-np.inf), -top.min(axis=0, initial=np.inf), a[n:], -a[n:]]
-    return np.vstack(ends).max(axis=0)
+    return (np.vstack([top.max(axis=0, initial=-np.inf), a[n:]]).max(axis=0),
+            np.vstack([top.min(axis=0, initial=np.inf), a[n:]]).min(axis=0))
 
 
 def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
@@ -232,11 +232,12 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
         for x in Xs.T
     ]
     values = _raw_design(spec, knots, supports, Xs)
-    col_scale = _abs_column_max(values)
+    hi, lo = _column_range(values)
     centers = np.zeros(values.shape[1])
     centers[1:] = values[:, 1:].mean(axis=0)  # each sum runs as on the blocks alone
     values -= centers
-    dead = _abs_column_max(values) <= 1e-12 * np.maximum(col_scale, 1.0)
+    # fl(v - c) is monotone in v, so this is max |values| down each centred column
+    dead = np.maximum(hi - centers, centers - lo) <= 1e-12 * np.maximum(np.maximum(hi, -lo), 1.0)
     if np.any(dead):
         warnings.warn(
             f"{int(dead.sum())} basis column(s) numerically zero after centering",

@@ -255,7 +255,7 @@ def fit_projected_pca(data: PanelData, P: Projector, K: int) -> FitResult:
     """
     y = data.y
     T = data.T
-    if y.shape[0] != P.p:
+    if y.shape[0] != len(P.design):
         raise DimensionMismatchError("projector and panel disagree on p")
     if not (1 <= K <= P.rank and K < T):
         raise KTooLargeError(

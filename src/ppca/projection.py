@@ -3,10 +3,11 @@
 P = QQ' with Q = Phi W orthonormal, but Q is never formed: the one operation is Q'M = W'(Phi'M),
 and the least-norm sieve coefficients are B = W Q'C.  W is from CholeskyQR (Fukaya et al. 2014):
 a centred cubic B-spline block sums to zero, so its last column is dropped; W = L^-T (L = chol of
-the kept Gram) fills the kept rows less each block's row mean, the null space's direction.  W is
-kept if max |W'GW - I| <= ``ORTHO_TOL`` on G = Phi'Phi, at once or after one m-space CholeskyQR2
-pass W <- W chol(W'GW)^-T.  Else a thin SVD cut at ``DEFAULT_RANK_TOL`` keeps U_r (W = I), as
-V_r / s_r applied to Phi'M would lose up to cond(Phi) * eps.
+the kept Gram) fills the kept rows less each block's row mean, the null space's direction.  W must
+pass max |W'GW - I| <= ``ORTHO_TOL`` on G = Phi'Phi, at once or after one m-space CholeskyQR2 pass
+W <- W chol(W'GW)^-T, and so must Z'Z for Z = Phi W_c, W_c the ``CHECK_COLS`` longest columns of W,
+where G's own rounding (up to eps cond(Phi)^2 in Q'Q) shows most.  Else a thin SVD cut at
+``DEFAULT_RANK_TOL`` keeps U_r (W = I): V_r / s_r on Phi'M would lose up to cond(Phi) * eps.
 """
 
 from __future__ import annotations
@@ -19,27 +20,23 @@ from .basis import BasisMatrix
 from .exceptions import DegenerateBasisError, DimensionMismatchError, InvalidSpecError
 
 DEFAULT_RANK_TOL = 1e-10
-ORTHO_TOL = 1e-12
+ORTHO_TOL, CHECK_COLS = 1e-12, 8
 
 
 @dataclass(frozen=True)
 class Projector:
-    """Immutable factored representation of P, with Q = design @ w never formed."""
+    """Factored representation of P, with Q = design @ w never formed."""
 
-    design: np.ndarray  # p x m: Phi, held by reference, or U_r from the SVD
+    design: np.ndarray  # p x m: the caller's Phi, borrowed uncopied, so never written; or U_r
     w: np.ndarray  # m x rank
     coef: np.ndarray  # m x rank, B = coef @ Q'C
     rank: int
 
-    @property
-    def p(self) -> int:
-        return self.design.shape[0]
-
     def coordinates(self, M: np.ndarray) -> np.ndarray:
         """Q'M = W'(design' M), the coordinates of P M in the orthonormal basis Q."""
         M = np.asarray(M, dtype=float)
-        if M.ndim not in (1, 2) or M.shape[0] != self.p:
-            raise DimensionMismatchError(f"expected {self.p} rows, got shape {M.shape}")
+        if M.ndim not in (1, 2) or M.shape[0] != len(self.design):
+            raise DimensionMismatchError(f"expected {len(self.design)} rows, got shape {M.shape}")
         return self.w.T @ (self.design.T @ M)
 
     def project(self, M: np.ndarray) -> np.ndarray:
@@ -51,6 +48,10 @@ class Projector:
         return self.coef @ self.coordinates(C)
 
 
+def _orthonormal(gram: np.ndarray) -> bool:
+    return bool(gram.size) and np.abs(gram - np.eye(gram.shape[0])).max() <= ORTHO_TOL  # NaN fails
+
+
 def _cholesky_qr(values: np.ndarray, blocks: list):
     """W of CholeskyQR(2) with ``blocks``' last columns dropped, or None if untrusted."""
     gram = values.T @ values
@@ -60,14 +61,14 @@ def _cholesky_qr(values: np.ndarray, blocks: list):
         w[keep] = np.linalg.inv(np.linalg.cholesky(gram[np.ix_(keep, keep)])).T
         for b in blocks:
             w[b] -= w[b].mean(axis=0)
-        for _ in range(2):  # CholeskyQR, then at most one CholeskyQR2 pass
-            wgw = w.T @ gram @ w
-            if w.size and np.abs(wgw - np.eye(w.shape[1])).max() <= ORTHO_TOL:  # NaN fails
-                return w
+        if not _orthonormal(wgw := w.T @ gram @ w):  # the one CholeskyQR2 pass
             w = w @ np.linalg.inv(np.linalg.cholesky(wgw)).T
+            if not _orthonormal(w.T @ gram @ w):
+                return None
     except np.linalg.LinAlgError:
-        pass
-    return None
+        return None
+    z = values @ w[:, np.argsort(np.linalg.norm(w, axis=0))[-CHECK_COLS:]]
+    return w if _orthonormal(z.T @ z) else None
 
 
 def make_projector(phi) -> Projector:
@@ -75,8 +76,7 @@ def make_projector(phi) -> Projector:
     values = np.asarray(getattr(phi, "values", phi), dtype=float)
     if values.ndim != 2:
         raise DimensionMismatchError("design matrix must be 2-dimensional")
-    p, m = values.shape
-    if p < m:
+    if (p := values.shape[0]) < (m := values.shape[1]):
         raise DimensionMismatchError(f"need p >= m, got p={p}, m={m}")
     if not np.all(np.isfinite(values)):
         raise InvalidSpecError("design matrix has non-finite entries")

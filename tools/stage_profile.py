@@ -3,9 +3,9 @@
     OPENBLAS_NUM_THREADS=1 python3 tools/stage_profile.py --design calibrated \
         --p 5000 --T 10 --J auto --repeat 9
 
-It draws one panel of ``--design`` from ``np.random.default_rng([seed, p, T, 0])``, as a
-Monte Carlo replication ``seed`` of that cell does, and builds the basis at ``--J`` (an integer,
-or ``auto`` for ``basis.default_J``), with K the design's factor count.  Each stage runs
+It draws one panel of ``--design`` from ``np.random.default_rng([0, p, T, 0])``, as replication
+0 of that cell does in a Monte Carlo scenario of seed 0, and builds the basis at ``--J`` (an
+integer, or ``auto`` for ``basis.default_J``), with K the design's factor count.  Each stage runs
 ``--repeat`` times on the same inputs, and its best time is reported in ms: basis, projector,
 select_k, projected fit, regular fit, test_g and test_gamma.  The line also gives which path
 the projector took (``cholesky``, ``cholesky_qr2`` or ``svd``, told apart by counting calls to
@@ -66,7 +66,7 @@ def environment():
             **{v: os.environ.get(v) for v in THREAD_VARS}}
 
 
-def profile(design, p, T, J, repeat, seed=0):
+def profile(design, p, T, J, repeat):
     """The JSON-ready record of one profile; see the module docstring."""
     from ppca.basis import BasisSpec, build_basis, default_J
     from ppca.estimator import fit_projected_pca, fit_regular_pca
@@ -74,7 +74,7 @@ def profile(design, p, T, J, repeat, seed=0):
     from ppca.projection import make_projector
     from ppca.simulate import gen_design
 
-    panel = gen_design(design, p, T, np.random.default_rng([seed, p, T, 0]))
+    panel = gen_design(design, p, T, np.random.default_rng([0, p, T, 0]))
     data, K = panel.data, panel.k_true
     spec = BasisSpec(J=default_J(p, T, data.x.shape[1]) if J == "auto" else int(J))
     tracemalloc.start()
@@ -98,7 +98,7 @@ def profile(design, p, T, J, repeat, seed=0):
         "test_gamma": lambda: test_gamma_zero(data, P, K),
     }
     return {"environment": environment(), "design": design, "p": p, "T": T, "J": spec.J,
-            "m": basis.m, "K": K, "seed": seed, "repeat": repeat,
+            "m": basis.m, "K": K, "repeat": repeat,
             "ms": {name: round(best_ms(fn, repeat), 3) for name, fn in stages.items()},
             "projector_path": path, "peak_over_y": round(peak / data.y.nbytes, 3)}
 
@@ -110,14 +110,13 @@ def main(argv=None):
     ap.add_argument("--T", type=int, required=True)
     ap.add_argument("--J", default="auto", help="an integer, or auto for default_J (default)")
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     if args.J != "auto" and not args.J.isdigit():
         ap.error(f"--J must be an integer or auto, got {args.J!r}")
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    print(json.dumps(profile(args.design, args.p, args.T, args.J, args.repeat, args.seed)), flush=True)
+    print(json.dumps(profile(args.design, args.p, args.T, args.J, args.repeat)), flush=True)
 
 
 if __name__ == "__main__":

@@ -123,6 +123,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    out = _out_path(args, directory=True)
     cfg = read_json_object(args.scenario)
     design = cfg.get("design", "design2")
     unknown = set(cfg) - {"design", "p", "T", "seed"}
@@ -134,7 +135,6 @@ def cmd_simulate(args) -> int:
         raise InputError(f"simulate config missing key: {exc}") from exc
     seed = config_int("seed", cfg.get("seed", 0), 0)
     panel = gen_design(design, p, T, np.random.default_rng(seed))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix(out / "Y.csv", panel.data.y)
     write_matrix(
@@ -156,9 +156,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    out = _out_path(args, directory=True)
     scenario = Scenario.from_dict(read_json_object(args.scenario))
     result = run_monte_carlo(scenario, n_jobs=max(1, args.threads))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_aggregate_csv(out / "aggregate.csv", result.aggregate)
     write_raw_errors_csv(out / "raw_errors.csv", result.raw)

@@ -8,16 +8,15 @@ Plain mode takes the top K pairs of Y'Y by one subspace iteration
 applies Y'Y through the T x T Gram when T < p and otherwise as Y'(YV),
 over cache-sized row blocks (one read of Y per step) while a block holds
 2q rows.  At T >= p it certifies the eigengap from 2q x 2q block Grams and
-falls back to the p x p Gram, so no T x T matrix is formed.  Loadings
-follow by least squares, Lambda_hat = Y F_hat / T; a projected fit splits
-them into the projected part G_hat and the orthogonal remainder Gamma_hat.
+falls back to the p x p Gram, so no T x T matrix is formed.  Loadings are
+Lambda_hat = Y F_hat / T; a projected fit reads its split into G_hat = P
+Lambda_hat and Gamma_hat off the one Z it takes (public calls share none).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -213,19 +212,19 @@ def _small_gram_pairs(y: np.ndarray, n: int):
     return np.concatenate([lam, np.zeros(n - lam.size)]), v
 
 
-def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
-    """Eigenvalues of Y'PY (P given) or Y'Y, descending, and top-K eigenvectors.
+def _spectrum(y: np.ndarray, K: int = 0, projected: bool = False):
+    """Descending eigenvalues of Y'Y (Z'Z = Y'PY if ``projected``, y = Z) and top-K eigenvectors.
 
     Returns ``(w, v)`` with ``v`` signs fixed (None for K = 0).  ``w`` holds
-    T = Y.shape[1] values, zero past those computed: the rank of Q'Y when
-    projected; when plain, min(p, T) for K = 0, from the smaller Gram (Y'Y or
-    YY'), and K + 1 for K > 0, from ``_top_eigh`` (T if it fell back to the
-    ``eigh`` of Y'Y at T < p).
+    T = y.shape[1] values, zero past those computed: the rank of Z when
+    projected, from its thin SVD; when plain, min(p, T) for K = 0, from the
+    smaller Gram (Y'Y or YY'), and K + 1 for K > 0, from ``_top_eigh`` (T if
+    it fell back to the ``eigh`` of Y'Y at T < p).
     """
     T = y.shape[1]
     try:
-        if P is not None:
-            _, s, vt = np.linalg.svd(P.coordinates(y), full_matrices=False)
+        if projected:
+            _, s, vt = np.linalg.svd(y, full_matrices=False)
             w, v = s**2, vt.T
         elif K:
             w, v = _top_eigh(y, K)
@@ -249,24 +248,22 @@ def _spectrum(y: np.ndarray, P: Optional[Projector], K: int = 0):
 def fit_projected_pca(data: PanelData, P: Projector, K: int) -> FitResult:
     """Projected-PCA fit: factors from the top-K eigenvectors of Y'PY.
 
-    F_hat / sqrt(T) holds the eigenvectors; G_hat = P Y F_hat / T,
-    Lambda_hat = Y F_hat / T, Gamma_hat = Lambda_hat - G_hat, and the
-    sieve coefficients solve (Phi'Phi) B = Phi' Y F_hat / T.
+    F_hat / sqrt(T) holds the eigenvectors, from Z = Q'Y taken once;
+    Lambda_hat = Y F_hat / T, and C = Q'Lambda_hat = Z F_hat / T gives
+    G_hat = QC, Gamma_hat = Lambda_hat - G_hat, and the least-norm sieve
+    coefficients B_hat = ``P.coef`` @ C of (Phi'Phi) B = Phi' Lambda_hat.
     """
-    y = data.y
-    T = data.T
-    if y.shape[0] != len(P.design):
-        raise DimensionMismatchError("projector and panel disagree on p")
+    y, T = data.y, data.T
     if not (1 <= K <= P.rank and K < T):
-        raise KTooLargeError(
-            f"need 1 <= K <= rank={P.rank} and K < T={T}, got K={K}"
-        )
-    eigvals, v = _spectrum(y, P, K)
+        raise KTooLargeError(f"need 1 <= K <= rank={P.rank} and K < T={T}, got K={K}")
+    z = P.coordinates(y)
+    eigvals, v = _spectrum(z, K, projected=True)
     f_hat = np.sqrt(T) * v
     yf = y @ f_hat / T
-    g_hat = P.project(yf)
+    c = z @ f_hat / T
+    g_hat = P.span(c)
     gamma_hat = yf - g_hat
-    b_hat = P.solve_sieve_coefficients(yf)
+    b_hat = P.coef @ c
     # recompose so Lambda_hat == G_hat + Gamma_hat holds bitwise
     return FitResult(
         f_hat=f_hat,
@@ -289,7 +286,7 @@ def fit_regular_pca(y: np.ndarray, K: int):
     T = y.shape[1]
     if not 1 <= K < T:
         raise KTooLargeError(f"need 1 <= K < T={T}, got K={K}")
-    eigvals, v = _spectrum(y, None, K)
+    eigvals, v = _spectrum(y, K)
     f_hat = np.sqrt(T) * v
     return f_hat, y @ f_hat / T, eigvals[:K] / T
 

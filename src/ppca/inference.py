@@ -171,7 +171,7 @@ def select_k(y: np.ndarray, P: Optional[Projector], m: int) -> SelectionResult:
     if m < 4:
         raise RangeEmptyError(f"need m >= 4 for a nonempty search range, got m={m}")
     T = y.shape[1]
-    lam, _ = _spectrum(y, P)
+    lam, _ = _spectrum(y if P is None else P.coordinates(y), projected=P is not None)
     # largest k with k < m/2, limited by the T available eigenvalues
     k_max = min((m - 1) // 2, T - 1)
     if k_max < 1:

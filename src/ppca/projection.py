@@ -1,13 +1,13 @@
 """Factored projector P = Phi (Phi'Phi)^-1 Phi' onto the span of the sieve design.
 
-P = QQ' with Q = Phi W orthonormal, but Q is never formed: the one operation is Q'M = W'(Phi'M),
-and the least-norm sieve coefficients are B = W Q'C.  W is from CholeskyQR (Fukaya et al. 2014):
-a centred cubic B-spline block sums to zero, so its last column is dropped; W = L^-T (L = chol of
-the kept Gram) fills the kept rows less each block's row mean, the null space's direction.  W must
-pass max |W'GW - I| <= ``ORTHO_TOL`` on G = Phi'Phi, at once or after one m-space CholeskyQR2 pass
-W <- W chol(W'GW)^-T, and so must Z'Z for Z = Phi W_c, W_c the ``CHECK_COLS`` longest columns of W,
-where G's own rounding (up to eps cond(Phi)^2 in Q'Q) shows most.  Else a thin SVD cut at
-``DEFAULT_RANK_TOL`` keeps U_r (W = I): V_r / s_r on Phi'M would lose up to cond(Phi) * eps.
+P = QQ' with Q = Phi W orthonormal, but Q is never formed: its two operations are Q'M = W'(Phi'M)
+and QC = Phi(WC), and the least-norm sieve coefficients of C are ``coef`` @ Q'C.  W is from
+CholeskyQR (Fukaya et al. 2014): a centred cubic B-spline block sums to zero, so its last column is
+dropped; W = L^-T (L = chol of the kept Gram) fills the kept rows less each block's row mean, the
+null space's direction.  W must pass max |W'GW - I| <= ``ORTHO_TOL`` on G = Phi'Phi, at once or
+after one m-space CholeskyQR2 pass W <- W chol(W'GW)^-T, and so must Q_c'Q_c, Q_c = Phi W_c for the
+``CHECK_COLS`` longest columns W_c of W, where G's own rounding (up to eps cond(Phi)^2) shows most.
+Else a thin SVD cut at ``DEFAULT_RANK_TOL`` keeps U_r (W = I): V_r / s_r would lose cond(Phi) * eps.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ class Projector:
     design: np.ndarray  # p x m: the caller's Phi, borrowed uncopied, so never written; or U_r
     w: np.ndarray  # m x rank
     coef: np.ndarray  # m x rank, B = coef @ Q'C
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.w.shape[1]
 
     def coordinates(self, M: np.ndarray) -> np.ndarray:
         """Q'M = W'(design' M), the coordinates of P M in the orthonormal basis Q."""
@@ -39,13 +42,13 @@ class Projector:
             raise DimensionMismatchError(f"expected {len(self.design)} rows, got shape {M.shape}")
         return self.w.T @ (self.design.T @ M)
 
-    def project(self, M: np.ndarray) -> np.ndarray:
-        """Apply P to the columns of M without forming P."""
-        return self.design @ (self.w @ self.coordinates(M))
+    def span(self, C: np.ndarray) -> np.ndarray:
+        """QC = design (w C), the p-row vectors with coordinates C in the basis Q."""
+        return self.design @ (self.w @ C)
 
-    def solve_sieve_coefficients(self, C: np.ndarray) -> np.ndarray:
-        """Solve (Phi'Phi) B = Phi' C in the least-norm sense (B is m x k)."""
-        return self.coef @ self.coordinates(C)
+    def project(self, M: np.ndarray) -> np.ndarray:
+        """Apply P = QQ' to the columns of M without forming P."""
+        return self.span(self.coordinates(M))
 
 
 def _orthonormal(gram: np.ndarray) -> bool:
@@ -82,9 +85,9 @@ def make_projector(phi) -> Projector:
         raise InvalidSpecError("design matrix has non-finite entries")
     spline = isinstance(phi, BasisMatrix) and phi.spec.family == "bspline_cubic"
     if (w := _cholesky_qr(values, phi.blocks if spline else [])) is not None:
-        return Projector(design=values, w=w, coef=w, rank=w.shape[1])
+        return Projector(design=values, w=w, coef=w)
     u, s, vt = np.linalg.svd(values, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateBasisError("design matrix is numerically zero")
     r = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
-    return Projector(design=u[:, :r], w=np.eye(r), coef=vt[:r].T / s[:r], rank=r)
+    return Projector(design=u[:, :r], w=np.eye(r), coef=vt[:r].T / s[:r])

@@ -77,22 +77,24 @@ def test_unusable_path_exit_2(tmp_path, capsys, case):
         assert bad.read_text() == "keep"
 
 
-@pytest.mark.parametrize("command", ["fit", "test"])
+@pytest.mark.parametrize("command", ["fit", "test", "simulate", "benchmark"])
 def test_out_refused_before_reading(tmp_path, capsys, monkeypatch, command):
-    # fit writes a directory and test a file: the other kind of path is refused before any input is read
-    reads = []
-    monkeypatch.setattr("ppca.cli.read_matrix", lambda *a, **kw: reads.append(a))
+    # test writes a file and the others a directory: the other kind of path is refused before
+    # any input is read or any panel drawn
+    work = []
+    for name in ("read_matrix", "read_json_object", "gen_design", "run_monte_carlo"):
+        monkeypatch.setattr(f"ppca.cli.{name}", lambda *a, name=name, **kw: work.append(name))
     bad = tmp_path / "bad"
-    if command == "fit":
-        bad.write_text("keep")
-    else:
+    if command == "test":
         bad.mkdir()
-    argv = [command, "--data", str(tmp_path / "Y.csv"), "--covariates", str(tmp_path / "X.csv"),
-            "--k", "3", "--out", str(bad)]
-    assert main(argv) == 2
+    else:
+        bad.write_text("keep")
+    inputs = (["--scenario", str(tmp_path / "s.json")] if command in ("simulate", "benchmark")
+              else ["--data", str(tmp_path / "Y.csv"), "--covariates", str(tmp_path / "X.csv")])
+    assert main([command, *inputs, "--out", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err and err.count("\n") == 1, err
-    assert reads == []
+    assert work == []
 
 
 class TestFit:

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppca.basis import BasisSpec, build_basis
-from ppca.estimator import PanelData, _residual_variances, fit_projected_pca, fit_regular_pca
+from ppca.estimator import (
+    PanelData,
+    _residual_variances,
+    align_columns,
+    fit_projected_pca,
+    fit_regular_pca,
+)
 from ppca.exceptions import (
     BoundaryWarning,
     DimensionMismatchError,
@@ -19,7 +25,7 @@ from ppca.exceptions import (
 )
 from ppca import inference
 from ppca.inference import select_k
-from ppca.projection import make_projector
+from ppca.projection import Projector, make_projector
 from ppca.simulate import gen_calibrated, gen_design, gen_design2
 from scipy import special
 
@@ -391,3 +397,60 @@ class TestSpanInvariance:
         assert (poly.m, spline.m) == (13, 17)
         assert make_projector(spline).rank == 13
         _assert_same_outputs(_span_outputs(data, poly), _span_outputs(data, spline))
+
+
+@pytest.mark.parametrize("call", ["select_k", "fit_projected_pca", "test_g_zero", "test_gamma_zero"])
+def test_one_projection_per_call(design2_setup, monkeypatch, call):
+    # each projected call applies Phi' to p-row data once: the fit and the Gamma test read the
+    # spectrum, G_hat and B_hat off the one Z = Q'Y, and the G test projects its loadings once
+    panel, basis, P = design2_setup
+    shapes, coordinates = [], Projector.coordinates
+
+    def spy(self, M):
+        shapes.append(np.shape(M))
+        return coordinates(self, M)
+
+    monkeypatch.setattr(Projector, "coordinates", spy)
+    {"select_k": lambda: select_k(panel.data.y, P, basis.m),
+     "fit_projected_pca": lambda: fit_projected_pca(panel.data, P, 3),
+     "test_g_zero": lambda: inference.test_g_zero(panel.data, P, 3),
+     "test_gamma_zero": lambda: inference.test_gamma_zero(panel.data, P, 3)}[call]()
+    assert len(shapes) == 1 and shapes[0][0] == panel.data.p
+
+
+class TestTimeInvariance:
+    """The loadings and both statistics see the T periods only through Y'Y's row space."""
+
+    @given(st.sampled_from(["design2", "calibrated"]), st.sampled_from(SPECS),
+           st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_time_permutation(self, design, spec, seed):
+        # Y -> Y Pi permutes the rows of F_hat and leaves Lambda_hat, G_hat, Gamma_hat, both
+        # statistics and K_hat: the sum(v**3) sign convention sees the periods as a set
+        rng = np.random.default_rng(seed)
+        data = gen_design(design, 120, 20, rng).data
+        perm = rng.permutation(data.T)
+        basis = build_basis(data.x, spec)
+        ref = _span_outputs(data, basis)
+        got = _span_outputs(PanelData(y=data.y[:, perm], x=data.x), basis)
+        _assert_same_outputs({**ref, "F": ref["F"][perm]}, got)
+        assert got["K_hat"] == ref["K_hat"]
+
+    @given(st.sampled_from(["design2", "calibrated"]), st.sampled_from(SPECS),
+           st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_time_rotation(self, design, spec, seed):
+        # Y -> Y O with O orthogonal takes F_hat to O'F_hat and leaves Lambda_hat, G_hat and
+        # Gamma_hat up to the sign of each column (the sum(v**3) convention is not rotation
+        # invariant), and leaves both statistics and K_hat
+        rng = np.random.default_rng(seed)
+        data = gen_design(design, 120, 20, rng).data
+        o = np.linalg.qr(rng.standard_normal((data.T, data.T)))[0]
+        basis = build_basis(data.x, spec)
+        ref = _span_outputs(data, basis)
+        got = _span_outputs(PanelData(y=data.y @ o, x=data.x), basis)
+        signs = align_columns(got["G"] + got["Gamma"], ref["G"] + ref["Gamma"])
+        want = {**ref, "F": o.T @ ref["F"] * signs, "G": ref["G"] * signs,
+                "Gamma": ref["Gamma"] * signs}
+        _assert_same_outputs(want, got)
+        assert got["K_hat"] == ref["K_hat"]

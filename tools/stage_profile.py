@@ -6,12 +6,16 @@
 It draws one panel of ``--design`` from ``np.random.default_rng([0, p, T, 0])``, as replication
 0 of that cell does in a Monte Carlo scenario of seed 0, and builds the basis at ``--J`` (an
 integer, or ``auto`` for ``basis.default_J``), with K the design's factor count.  Each stage runs
-``--repeat`` times on the same inputs, and its best time is reported in ms: basis, projector,
-select_k, projected fit, regular fit, test_g and test_gamma.  The line also gives which path
-the projector took (``cholesky``, ``cholesky_qr2`` or ``svd``, told apart by counting calls to
-``np.linalg.cholesky`` and ``np.linalg.svd``), the ``tracemalloc`` peak of basis + projector +
-projected fit over ``Y.nbytes``, and the environment.  It imports ``ppca`` from the ``src``
-beside this file, so a ``git archive`` of another revision profiles that revision.
+``--repeat`` times on the same inputs, and its best time is reported in ms: generate (the same
+draw), basis, projector, select_k, projected fit, regular fit, test_g and test_gamma.  The line
+also gives which path the projector took (``cholesky``, ``cholesky_qr2`` or ``svd``, told apart
+by counting calls to ``np.linalg.cholesky`` and ``np.linalg.svd``) and which the regular fit took
+(``certified``, or ``eigh`` when it fell back to the full ``eigh`` of the T x T or p x p Gram, told
+by a call to ``estimator._small_gram_pairs`` or an ``np.linalg.eigh`` of a T x T matrix, which the
+subspace iteration's own q x q eigenproblems, q < T, never are), the ``tracemalloc`` peak of
+basis + projector + projected fit over ``Y.nbytes``, and the environment.  It imports ``ppca``
+from the ``src`` beside this file, so a ``git archive`` of another revision profiles that
+revision.
 """
 
 import argparse
@@ -31,19 +35,19 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 @contextmanager
 def counted(module, *names):
-    """Count calls to ``module``'s functions ``names`` while the block runs."""
-    counts, originals = dict.fromkeys(names, 0), {n: getattr(module, n) for n in names}
+    """Record the shape of the first argument of each call to ``module``'s functions ``names``."""
+    calls, originals = {n: [] for n in names}, {n: getattr(module, n) for n in names}
 
     def spy(name):
         def call(*args, **kwargs):
-            counts[name] += 1
+            calls[name].append(np.shape(args[0]))
             return originals[name](*args, **kwargs)
         return call
 
     for name in names:
         setattr(module, name, spy(name))
     try:
-        yield counts
+        yield calls
     finally:
         for name, fn in originals.items():
             setattr(module, name, fn)
@@ -68,13 +72,17 @@ def environment():
 
 def profile(design, p, T, J, repeat):
     """The JSON-ready record of one profile; see the module docstring."""
+    from ppca import estimator
     from ppca.basis import BasisSpec, build_basis, default_J
     from ppca.estimator import fit_projected_pca, fit_regular_pca
     from ppca.inference import select_k, test_g_zero, test_gamma_zero
     from ppca.projection import make_projector
     from ppca.simulate import gen_design
 
-    panel = gen_design(design, p, T, np.random.default_rng([0, p, T, 0]))
+    def generate():
+        return gen_design(design, p, T, np.random.default_rng([0, p, T, 0]))
+
+    panel = generate()
     data, K = panel.data, panel.k_true
     spec = BasisSpec(J=default_J(p, T, data.x.shape[1]) if J == "auto" else int(J))
     tracemalloc.start()
@@ -87,8 +95,12 @@ def profile(design, p, T, J, repeat):
         tracemalloc.stop()
     with counted(np.linalg, "cholesky", "svd") as calls:
         make_projector(basis)
-    path = "svd" if calls["svd"] else "cholesky_qr2" if calls["cholesky"] > 1 else "cholesky"
+    path = "svd" if calls["svd"] else "cholesky_qr2" if len(calls["cholesky"]) > 1 else "cholesky"
+    with counted(np.linalg, "eigh") as la, counted(estimator, "_small_gram_pairs") as small:
+        fit_regular_pca(data.y, K)
+    regular = "eigh" if small["_small_gram_pairs"] or (T, T) in la["eigh"] else "certified"
     stages = {
+        "generate": generate,
         "basis": lambda: build_basis(data.x, spec),
         "projector": lambda: make_projector(basis),
         "select_k": lambda: select_k(data.y, P, basis.m),
@@ -100,7 +112,8 @@ def profile(design, p, T, J, repeat):
     return {"environment": environment(), "design": design, "p": p, "T": T, "J": spec.J,
             "m": basis.m, "K": K, "repeat": repeat,
             "ms": {name: round(best_ms(fn, repeat), 3) for name, fn in stages.items()},
-            "projector_path": path, "peak_over_y": round(peak / data.y.nbytes, 3)}
+            "projector_path": path, "fit_regular_path": regular,
+            "peak_over_y": round(peak / data.y.nbytes, 3)}
 
 
 def main(argv=None):

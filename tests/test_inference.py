@@ -419,7 +419,7 @@ def test_one_projection_per_call(design2_setup, monkeypatch, call):
 
 
 class TestTimeInvariance:
-    """The loadings and both statistics see the T periods only through Y'Y's row space."""
+    """Y -> Y O, O orthogonal, keeps Y Y' and so the loadings and both statistics, up to sign."""
 
     @given(st.sampled_from(["design2", "calibrated"]), st.sampled_from(SPECS),
            st.integers(0, 10_000))

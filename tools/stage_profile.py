@@ -34,7 +34,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @contextmanager
-def counted(module, *names):
+def recorded(module, *names):
     """Record the shape of the first argument of each call to ``module``'s functions ``names``."""
     calls, originals = {n: [] for n in names}, {n: getattr(module, n) for n in names}
 
@@ -93,10 +93,10 @@ def profile(design, p, T, J, repeat):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    with counted(np.linalg, "cholesky", "svd") as calls:
+    with recorded(np.linalg, "cholesky", "svd") as calls:
         make_projector(basis)
     path = "svd" if calls["svd"] else "cholesky_qr2" if len(calls["cholesky"]) > 1 else "cholesky"
-    with counted(np.linalg, "eigh") as la, counted(estimator, "_small_gram_pairs") as small:
+    with recorded(np.linalg, "eigh") as la, recorded(estimator, "_small_gram_pairs") as small:
         fit_regular_pca(data.y, K)
     regular = "eigh" if small["_small_gram_pairs"] or (T, T) in la["eigh"] else "certified"
     stages = {

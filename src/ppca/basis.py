@@ -82,10 +82,6 @@ class BasisMatrix:
     centers: np.ndarray
 
     @property
-    def p(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def m(self) -> int:
         return self.values.shape[1]
 

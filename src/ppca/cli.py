@@ -44,7 +44,13 @@ def _out_path(args, directory: bool) -> Path:
 
 
 def _load_model(args):
-    """Prelude of ``fit`` and ``test``: read inputs, build basis and projector, resolve K."""
+    """Prelude of ``fit`` and ``test``: parse --k, read inputs, build basis and projector, resolve K."""
+    k = None  # --k auto: the eigenvalue-ratio estimate, once the projector is built
+    if args.k != "auto":
+        try:
+            k = int(args.k)
+        except ValueError as exc:
+            raise InputError(f"--k must be an integer or 'auto', got {args.k!r}") from exc
     y, _ = read_matrix(args.data)
     x, _ = read_matrix(args.covariates)
     if y.shape[0] != x.shape[0]:
@@ -57,13 +63,8 @@ def _load_model(args):
         spec = BasisSpec.from_dict(read_json_object(args.basis))
     basis = build_basis(panel.x, spec)
     projector = make_projector(basis)
-    if args.k == "auto":
+    if k is None:
         k = select_k(panel.y, projector, basis.m).k_hat
-    else:
-        try:
-            k = int(args.k)
-        except ValueError as exc:
-            raise InputError(f"--k must be an integer or 'auto', got {args.k!r}") from exc
     return panel, spec, basis, projector, k
 
 

@@ -185,9 +185,9 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path, command: str, config: dict, seed, input_paths=()) -> dict:
+def write_manifest(path, command: str, config: dict, seed, input_paths=()) -> None:
     """Write the run manifest capturing everything needed to reproduce."""
-    manifest = {
+    write_json(path, {
         "command": command,
         "config": config,
         "seed": seed,
@@ -196,9 +196,7 @@ def write_manifest(path, command: str, config: dict, seed, input_paths=()) -> di
         "input_checksums": {
             str(p): sha256_file(p) for p in input_paths if Path(p).exists()
         },
-    }
-    write_json(path, manifest)
-    return manifest
+    })
 
 
 def write_fit_bundle(out_dir, fit, basis_spec: dict, m: int) -> None:

@@ -26,7 +26,6 @@ from .exceptions import (
     InvalidSpecError,
     KTooLargeError,
     NearTieWarning,
-    NonDistinctEigenvaluesWarning,
     RankDeficientError,
 )
 from .projection import Projector
@@ -335,7 +334,7 @@ def identification_transform(F: np.ndarray, G: np.ndarray):
     if np.any(d[:-1] / d[1:] < 1.0 + NEAR_TIE_RTOL):
         warnings.warn(
             "whitened G'G has nearly tied eigenvalues; identification is fragile",
-            NonDistinctEigenvaluesWarning,
+            NearTieWarning,
         )
     H = s_f_isqrt @ r
     F0 = F @ H

@@ -61,11 +61,7 @@ class RankWarning(UserWarning):
 
 
 class NearTieWarning(UserWarning):
-    """The K-th and (K+1)-th eigenvalues are nearly tied."""
-
-
-class NonDistinctEigenvaluesWarning(UserWarning):
-    """Identification requires distinct diagonal entries; near-ties found."""
+    """Adjacent eigenvalues are nearly tied: the K-th and (K+1)-th, or two of whitened G'G."""
 
 
 class BoundaryWarning(UserWarning):

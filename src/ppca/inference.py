@@ -117,8 +117,6 @@ class SelectionResult:
     k_hat: int
     eigenvalues: np.ndarray
     ratios: np.ndarray
-    method: str
-    at_boundary: bool
 
 
 def test_g_zero(data: PanelData, P: Projector, K: int) -> TestResult:
@@ -179,16 +177,9 @@ def select_k(y: np.ndarray, P: Optional[Projector], m: int) -> SelectionResult:
     lam = _floored(lam[: k_max + 1])
     ratios = lam[:-1] / lam[1:]
     k_hat = int(np.argmax(ratios)) + 1
-    at_boundary = k_hat == k_max
-    if at_boundary:
+    if k_hat == k_max:
         warnings.warn(
             f"eigenvalue-ratio argmax at the search boundary k={k_hat}",
             BoundaryWarning,
         )
-    return SelectionResult(
-        k_hat=k_hat,
-        eigenvalues=lam,
-        ratios=ratios,
-        method="plain" if P is None else "projected",
-        at_boundary=at_boundary,
-    )
+    return SelectionResult(k_hat=k_hat, eigenvalues=lam, ratios=ratios)

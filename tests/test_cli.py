@@ -13,10 +13,12 @@ import pytest
 
 import ppca
 
+from ppca import montecarlo
 from ppca.basis import BasisSpec, build_basis, eval_curves
 from ppca.cli import main
 from ppca.dataio import read_json_object, read_matrix, sha256_file, write_matrix
-from ppca.exceptions import InputError
+from ppca.exceptions import InputError, KTooLargeError
+from ppca.montecarlo import run_replication
 
 
 def _write_panel(tmp_path, y, x):
@@ -97,16 +99,41 @@ def test_out_refused_before_reading(tmp_path, capsys, monkeypatch, command):
     assert work == []
 
 
+@pytest.mark.parametrize("command", ["fit", "test"])
+def test_k_refused_before_reading(tmp_path, capsys, monkeypatch, command):
+    # a --k that is neither an integer nor 'auto' is refused before Y.csv and X.csv are read
+    work = []
+    for name in ("read_matrix", "read_json_object"):
+        monkeypatch.setattr(f"ppca.cli.{name}", lambda *a, name=name, **kw: work.append(name))
+    out = tmp_path / "o"
+    assert main([command, "--data", str(tmp_path / "Y.csv"), "--covariates",
+                 str(tmp_path / "X.csv"), "--k", "abc", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --k must be an integer or 'auto', got 'abc'\n", err
+    assert work == [] and not out.exists()
+
+
 class TestFit:
     def test_missing_file_exit_2(self, tmp_path, capsys):
-        # a missing file, a ragged Y.csv, then a --basis spec that is missing, not
-        # JSON, or has a deleted key (standardize, knot_rule, intercept) or family
+        # a missing file, a ragged Y.csv, a panel that is not finite, has one period or
+        # disagrees on the row count, then a --basis spec that is missing, not JSON, not
+        # an object, or has a deleted key (standardize, knot_rule, intercept) or family
         y_path, x_path = _write_panel(tmp_path, np.ones((2, 2)), np.ones((2, 1)))
         (tmp_path / "ok").mkdir()
         good_y, good_x = _write_panel(tmp_path / "ok", np.ones((8, 3)), np.arange(8.0)[:, None])
         y_path.write_text("1.0,2.0\n3.0\n")
+        y_nan, x_inf = np.ones((8, 3)), np.arange(8.0)[:, None]
+        y_nan[2, 1], x_inf[5, 0] = np.nan, np.inf
+        panels = []
+        for name, y, x in (("nan", y_nan, np.arange(8.0)[:, None]), ("inf", np.ones((8, 3)), x_inf),
+                           ("one_period", np.ones((8, 1)), np.arange(8.0)[:, None]),
+                           ("rows", np.ones((8, 3)), np.arange(7.0)[:, None])):
+            (tmp_path / name).mkdir()
+            panels.append(_write_panel(tmp_path / name, y, x))
         bad_spec = tmp_path / "bad.json"
         bad_spec.write_text("{not json")
+        array_spec = tmp_path / "array.json"
+        array_spec.write_text("[1, 2]")
         old_specs = []
         for key, value, msg in (
             ("standardize", True, "unknown basis spec keys: ['standardize']"),
@@ -120,9 +147,15 @@ class TestFit:
         for data, covariates, basis, msg in (
             (tmp_path / "nope.csv", tmp_path / "nope2.csv", [], "error"),
             (y_path, x_path, [], "row 2 has 1 fields"),
+            (*panels[0], [], "error: panel contains non-finite entries"),
+            (*panels[1], [], "error: panel contains non-finite entries"),
+            (*panels[2], [], "error: Y must be p x T with p, T >= 2"),
+            (*panels[3], [], f"error: {panels[3][0]} has 8 rows but {panels[3][1]} has 7"),
             (good_y, good_x, ["--basis", str(tmp_path / "nope.json")],
              f"file not found: {tmp_path / 'nope.json'}"),
             (good_y, good_x, ["--basis", str(bad_spec)], f"{bad_spec}: invalid JSON"),
+            (good_y, good_x, ["--basis", str(array_spec)],
+             f"{array_spec}: must hold a JSON object"),
             *old_specs,
         ):
             rc = main([
@@ -231,6 +264,10 @@ class TestCsvRoundTrip:
         path.write_text("\ufeff1.0,2.0\n3.0,4.0\n5.0,6.0", encoding="utf-8")
         b, header = read_matrix(path)
         assert header is None and b.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        # a header of the wrong length is refused before the file is opened
+        with pytest.raises(InputError, match="header length"):
+            write_matrix(tmp_path / "short.csv", a, header=["a", "b"])
+        assert not (tmp_path / "short.csv").exists()
 
     @pytest.mark.parametrize("text, where", [
         ("1.0,2.0\n3.0\n", "row 2 has 1 fields, expected 2"),
@@ -317,14 +354,15 @@ class TestSimulate:
     def test_bad_config_key_exit_2(self, tmp_path, capsys):
         # int() would truncate 300.7 and accept "5" and true; a negative seed
         # would reach numpy's seeding as a raw ValueError; T < K = 3 (p < K on the
-        # calibrated design) would make F'F (G'G) singular, a numerical failure
+        # calibrated design) would make F'F (G'G) singular, a numerical failure;
+        # a JSON array is not a config
         cfg = tmp_path / "sim.json"
         base = {"design": "design2", "p": 40, "T": 10}
         cases = [{**base, **bad} for bad in (
             {"frob": 1}, {"p": "x"}, {"p": None}, {"seed": "abc"}, {"p": 300.7},
             {"seed": "5"}, {"seed": True}, {"seed": -3}, {"design": "nope"}, {"T": 2},
             {"design": "calibrated", "T": 2}, {"design": "calibrated", "p": 2},
-        )] + [{"design": "design2", "p": 40}]  # T missing
+        )] + [{"design": "design2", "p": 40}, [base]]  # T missing; an array
         for obj in cases:
             cfg.write_text(json.dumps(obj))
             assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -450,6 +488,28 @@ class TestBenchmark:
             if bad in not_lists:
                 assert f"{next(iter(bad))} must be a list" in err, (bad, err)
             assert not bad_out.exists()
+
+    def test_failed_replication_recorded(self, tmp_path, monkeypatch):
+        # one replication raises: the run still exits 0, failures.json names it, and
+        # aggregate.csv counts it in its cell's n_failed
+        def flaky(scenario, p, T, rep):
+            if rep == 1:
+                raise KTooLargeError("injected")
+            return run_replication(scenario, p, T, rep)
+
+        monkeypatch.setattr(montecarlo, "run_replication", flaky)
+        path, out = tmp_path / "scen.json", tmp_path / "bench"
+        path.write_text(json.dumps({"design": "design2", "p_grid": [40], "T_grid": [10],
+                                    "methods": ["projected_pca"], "n_reps": 3, "seed": 1}))
+        assert main(["benchmark", "--scenario", str(path), "--out", str(out),
+                     "--threads", "1"]) == 0
+        failures = json.loads((out / "failures.json").read_text())
+        assert [(f["p"], f["T"], f["rep"], f["type"]) for f in failures] == [
+            (40, 10, 1, "KTooLargeError")]
+        lines = (out / "aggregate.csv").read_text().splitlines()
+        cols = lines[0].split(",")
+        rows = [dict(zip(cols, line.split(","))) for line in lines[1:]]
+        assert rows and {(r["n"], r["n_failed"]) for r in rows} == {("2", "1")}
 
     def test_cells_the_design_cannot_draw_exit_2(self, tmp_path, capsys):
         # every p = 3 and T = 2 replication of design 2 would fail in the simulator

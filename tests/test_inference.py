@@ -303,13 +303,16 @@ class TestSelectK:
         lam = rng.standard_normal((120, 2)) * 5
         f = rng.standard_normal((20, 2))
         y = lam @ f.T + 0.1 * rng.standard_normal((120, 20))
-        res = select_k(y, None, 12)
-        assert res.method == "plain"
-        assert res.k_hat == 2
+        assert select_k(y, None, 12).k_hat == 2
 
-    def test_range_empty(self, rng):
+    def test_range_empty(self, rng, design2_setup):
         with pytest.raises(RangeEmptyError):
             select_k(rng.standard_normal((10, 5)), None, 3)
+        # a one-column panel has no adjacent eigenvalue pair, in either mode
+        panel, basis, P = design2_setup
+        for projector in (None, P):
+            with pytest.raises(RangeEmptyError, match="is empty"):
+                select_k(panel.data.y[:, :1], projector, basis.m)
 
     @pytest.mark.parametrize("shape", [(5,), (4, 3, 2)])
     def test_y_must_be_2d(self, shape):

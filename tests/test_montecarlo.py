@@ -39,6 +39,8 @@ class TestScenario:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidSpecError):
             Scenario(methods=("projected_pca", "nope"))
+        with pytest.raises(InvalidSpecError, match="at least one method"):
+            Scenario(methods=[])
 
     def test_unknown_design_rejected(self):
         with pytest.raises(InvalidSpecError):

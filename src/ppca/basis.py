@@ -11,17 +11,12 @@ evaluated at new points.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import config_int
-from .exceptions import (
-    InvalidSpecError,
-    RankWarning,
-    ZeroVarianceError,
-)
+from .exceptions import InvalidSpecError, ZeroVarianceError
 
 FAMILIES = ("bspline_cubic", "polynomial", "fourier")
 
@@ -196,15 +191,6 @@ def _raw_design(spec: BasisSpec, knots, supports, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _column_range(a: np.ndarray):
-    """(max, min) down each column of the C-ordered a, reduced over 64 rows at a time, as
-    numpy takes axis 0 of a narrow array one short row per step."""
-    n = a.shape[0] // 64 * 64
-    top = a[:n].reshape(-1, 64, a.shape[1])
-    return (np.vstack([top.max(axis=0, initial=-np.inf), a[n:]]).max(axis=0),
-            np.vstack([top.min(axis=0, initial=np.inf), a[n:]]).min(axis=0))
-
-
 def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
     """Build the p x m additive sieve design matrix from raw covariates.
 
@@ -228,18 +214,9 @@ def build_basis(X: np.ndarray, spec: BasisSpec) -> BasisMatrix:
         for x in Xs.T
     ]
     values = _raw_design(spec, knots, supports, Xs)
-    hi, lo = _column_range(values)
     centers = np.zeros(values.shape[1])
     centers[1:] = values[:, 1:].mean(axis=0)  # each sum runs as on the blocks alone
     values -= centers
-    # fl(v - c) is monotone in v, so this is max |values| down each centred column
-    dead = np.maximum(hi - centers, centers - lo) <= 1e-12 * np.maximum(np.maximum(hi, -lo), 1.0)
-    if np.any(dead):
-        warnings.warn(
-            f"{int(dead.sum())} basis column(s) numerically zero after centering",
-            RankWarning,
-        )
-
     return BasisMatrix(
         values=values,
         spec=spec,

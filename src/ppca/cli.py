@@ -51,6 +51,7 @@ def _load_model(args):
             k = int(args.k)
         except ValueError as exc:
             raise InputError(f"--k must be an integer or 'auto', got {args.k!r}") from exc
+        config_int("--k", k, 1)
     y, _ = read_matrix(args.data)
     x, _ = read_matrix(args.covariates)
     if y.shape[0] != x.shape[0]:

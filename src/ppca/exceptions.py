@@ -57,7 +57,8 @@ class SingularWeightError(NumericalError):
 
 
 class RankWarning(UserWarning):
-    """A basis column became numerically zero after centering."""
+    """The projector's SVD cut left a sieve basis below rank m less one per cubic B-spline block,
+    so the span lost a basis direction."""
 
 
 class NearTieWarning(UserWarning):

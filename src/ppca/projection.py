@@ -8,16 +8,18 @@ null space's direction.  W must pass max |W'GW - I| <= ``ORTHO_TOL`` on G = Phi'
 after one m-space CholeskyQR2 pass W <- W chol(W'GW)^-T, and so must Q_c'Q_c, Q_c = Phi W_c for the
 ``CHECK_COLS`` longest columns W_c of W, where G's own rounding (up to eps cond(Phi)^2) shows most.
 Else a thin SVD cut at ``DEFAULT_RANK_TOL`` keeps U_r (W = I): V_r / s_r would lose cond(Phi) * eps.
+The cut warns ``RankWarning`` when it keeps fewer than a BasisMatrix's m - len(blocks) directions.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisMatrix
-from .exceptions import DegenerateBasisError, DimensionMismatchError, InvalidSpecError
+from .exceptions import DegenerateBasisError, DimensionMismatchError, InvalidSpecError, RankWarning
 
 DEFAULT_RANK_TOL = 1e-10
 ORTHO_TOL, CHECK_COLS = 1e-12, 8
@@ -83,11 +85,14 @@ def make_projector(phi) -> Projector:
         raise DimensionMismatchError(f"need p >= m, got p={p}, m={m}")
     if not np.all(np.isfinite(values)):
         raise InvalidSpecError("design matrix has non-finite entries")
-    spline = isinstance(phi, BasisMatrix) and phi.spec.family == "bspline_cubic"
-    if (w := _cholesky_qr(values, phi.blocks if spline else [])) is not None:
+    basis = isinstance(phi, BasisMatrix)
+    blocks = phi.blocks if basis and phi.spec.family == "bspline_cubic" else []
+    if (w := _cholesky_qr(values, blocks)) is not None:
         return Projector(design=values, w=w, coef=w)
     u, s, vt = np.linalg.svd(values, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateBasisError("design matrix is numerically zero")
     r = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
+    if basis and r < m - len(blocks):
+        warnings.warn(f"basis design has numerical rank {r} < {m - len(blocks)}", RankWarning)
     return Projector(design=u[:, :r], w=np.eye(r), coef=vt[:r].T / s[:r])

@@ -97,12 +97,17 @@ class TestBuildBasis:
             BasisSpec(J=3)
 
     def test_dead_column_warns(self):
-        # x^2 is constant on {-1, 1}, so its centered column is zero
-        x = np.repeat([-1.0, 1.0], 10)[:, None]
-        with pytest.warns(RankWarning):
-            basis = build_basis(x, BasisSpec(family="polynomial", J=2))
-        assert basis.m == 3
-        assert make_projector(basis).rank == 2
+        pm1 = np.repeat([-1.0, 1.0], 10)[:, None]
+        for x, family, J, m, rank in [
+            (pm1, "polynomial", 2, 3, 2),  # x^2 is constant on {-1, 1}: its centred column is 0
+            (pm1, "fourier", 4, 5, 1),  # on {-1, 1} every Fourier column is constant to roundoff
+            # x^1 .. x^18 of 500 normals: no column is zero, but the SVD cut keeps 15 of 19
+            (np.random.default_rng(0).standard_normal((500, 1)), "polynomial", 18, 19, 15),
+        ]:
+            basis = build_basis(x, BasisSpec(family=family, J=J))
+            assert basis.m == m
+            with pytest.warns(RankWarning, match=f"rank {rank} < {m}$"):
+                assert make_projector(basis).rank == rank
 
 
 class TestDefaultJ:

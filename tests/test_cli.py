@@ -101,16 +101,18 @@ def test_out_refused_before_reading(tmp_path, capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("command", ["fit", "test"])
 def test_k_refused_before_reading(tmp_path, capsys, monkeypatch, command):
-    # a --k that is neither an integer nor 'auto' is refused before Y.csv and X.csv are read
+    # a --k that is not 'auto' or an integer >= 1 is refused before Y.csv and X.csv are read
     work = []
     for name in ("read_matrix", "read_json_object"):
         monkeypatch.setattr(f"ppca.cli.{name}", lambda *a, name=name, **kw: work.append(name))
     out = tmp_path / "o"
-    assert main([command, "--data", str(tmp_path / "Y.csv"), "--covariates",
-                 str(tmp_path / "X.csv"), "--k", "abc", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: --k must be an integer or 'auto', got 'abc'\n", err
-    assert work == [] and not out.exists()
+    for k, message in [("abc", "--k must be an integer or 'auto', got 'abc'"),
+                       ("0", "--k must be >= 1, got 0"), ("-1", "--k must be >= 1, got -1")]:
+        assert main([command, "--data", str(tmp_path / "Y.csv"), "--covariates",
+                     str(tmp_path / "X.csv"), "--k", k, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
+        assert work == [] and not out.exists()
 
 
 class TestFit:
@@ -398,7 +400,7 @@ class TestTest:
                   "--covariates", str(sim_out / "X.csv"), "--which", "bogus",
                   "--out", str(res_path)])
         assert exc.value.code == 2
-        # K = 0 is refused by the fits the tests run: an input error, exit 2
+        # K = 0 is refused before the panel is read: an input error, exit 2
         capsys.readouterr()
         assert main(["test", "--data", str(sim_out / "Y.csv"),
                      "--covariates", str(sim_out / "X.csv"), "--k", "0",

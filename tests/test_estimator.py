@@ -199,15 +199,16 @@ class TestRegularPca:
             fit_regular_pca(y, 2)
 
 
-def _gram_eigh_reference(y, K):
-    """Regular-PCA factors and eigenvalues from a full T x T eigh of Y'Y."""
+def _svd_reference(y, K):
+    """Regular-PCA factors and eigenvalues of Y'Y from the thin SVD Y = U S V', a route the
+    library never takes: sqrt(T) V and S^2 / T."""
     T = y.shape[1]
-    w, v = np.linalg.eigh(y.T @ y)
-    return np.sqrt(T) * fix_signs(v[:, ::-1][:, :K]), w[::-1][:K] / T
+    _, s, vt = np.linalg.svd(y, full_matrices=False)
+    return np.sqrt(T) * fix_signs(vt[:K].T), s[:K] ** 2 / T
 
 
 class TestRegularPcaGramOracle:
-    """fit_regular_pca against a full T x T eigh, on every route ``_top_eigh`` takes."""
+    """fit_regular_pca against the thin SVD of Y, on every route ``_top_eigh`` takes."""
 
     @pytest.mark.parametrize("case, K, n_values", [
         ("design2", 3, 4),  # converges by subspace iteration
@@ -226,7 +227,7 @@ class TestRegularPcaGramOracle:
         }[case]()
         assert _top_eigh(y, K)[0].size == n_values
         f_hat, _, eigvals = fit_regular_pca(y, K)
-        f_ref, eig_ref = _gram_eigh_reference(y, K)
+        f_ref, eig_ref = _svd_reference(y, K)
         np.testing.assert_allclose(f_hat, f_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-10)
         f_again, _, eig_again = fit_regular_pca(y, K)
@@ -241,7 +242,7 @@ class TestRegularPcaGramOracle:
         assert _top_eigh(y, 2)[0].size == 3
         with pytest.warns(NearTieWarning):
             f_hat, _, eigvals = fit_regular_pca(y, 2)
-        f_ref, eig_ref = _gram_eigh_reference(y, 2)
+        f_ref, eig_ref = _svd_reference(y, 2)
         np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-10)
         # inside the tied pair the second factor is not determined
         np.testing.assert_allclose(f_hat[:, 0], f_ref[:, 0], rtol=0, atol=1e-10)
@@ -295,7 +296,7 @@ class TestGramFreeRegularPca:
         assert w.size == K + 1 and bound * (1.0 + NEAR_TIE_RTOL) < w[K - 1]  # the gap was certified
         assert stopped_at_bound  # so pair K + 1 was not iterated on
         T = y.shape[1]
-        f_ref, eig_ref = _gram_eigh_reference(y, K)
+        f_ref, eig_ref = _svd_reference(y, K)
         np.testing.assert_allclose(w[:K] / T, eig_ref, rtol=1e-12, atol=0)
         np.testing.assert_allclose(np.sqrt(T) * fix_signs(v[:, :K]), f_ref, rtol=0, atol=1e-12 * np.sqrt(T))
         _, _, eigvals = fit_regular_pca(y, K)
@@ -320,7 +321,7 @@ class TestGramFreeRegularPca:
         assert [[len(range(p)[b]) for b in blocks] for blocks in made] == [applied]
         assert [min(rows, p - lo) for lo in range(0, p, rows)] == certified
         assert w.size == 4 and bound * (1.0 + NEAR_TIE_RTOL) < w[2] and stopped_at_bound
-        f_ref, eig_ref = _gram_eigh_reference(y, 3)
+        f_ref, eig_ref = _svd_reference(y, 3)
         np.testing.assert_allclose(w[:3] / T, eig_ref, rtol=1e-12, atol=0)
         np.testing.assert_allclose(np.sqrt(T) * fix_signs(v[:, :3]), f_ref, rtol=0, atol=1e-12 * np.sqrt(T))
 
@@ -333,7 +334,7 @@ class TestGramFreeRegularPca:
         assert w.size == 3 and bound * (1.0 + NEAR_TIE_RTOL) >= w[1]
         with pytest.warns(NearTieWarning):
             f_hat, _, eigvals = fit_regular_pca(y, 2)
-        f_ref, eig_ref = _gram_eigh_reference(y, 2)
+        f_ref, eig_ref = _svd_reference(y, 2)
         np.testing.assert_allclose(eigvals, eig_ref, rtol=1e-10)
         np.testing.assert_allclose(f_hat[:, 0], f_ref[:, 0], rtol=0, atol=1e-10)
 

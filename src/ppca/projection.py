@@ -8,7 +8,8 @@ null space's direction.  W must pass max |W'GW - I| <= ``ORTHO_TOL`` on G = Phi'
 after one m-space CholeskyQR2 pass W <- W chol(W'GW)^-T, and so must Q_c'Q_c, Q_c = Phi W_c for the
 ``CHECK_COLS`` longest columns W_c of W, where G's own rounding (up to eps cond(Phi)^2) shows most.
 Else a thin SVD cut at ``DEFAULT_RANK_TOL`` keeps U_r (W = I): V_r / s_r would lose cond(Phi) * eps.
-The cut warns ``RankWarning`` when it keeps fewer than a BasisMatrix's m - len(blocks) directions.
+On a BasisMatrix the cut warns ``RankWarning`` when it keeps fewer than the m - len(blocks)
+directions that CholeskyQR keeps.
 """
 
 from __future__ import annotations
